@@ -14,7 +14,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..dns.errors import NameError_
 from ..dns.name import DnsName
+from ..dns.rdata import RRType, SOA
 from ..geo.regions import PAPER_GROUP_COUNT, paper_groups
+from ..inet.clock import year_bounds
 from .provider_id import ProviderMatcher
 from .replication import PdnsReplicationAnalysis, YearState
 
@@ -110,11 +112,8 @@ class CentralizationAnalysis:
             self._groups = paper_groups(top)
         return self._groups
 
-    def _soa_for(self, domain: DnsName, year: int):
+    def _soa_for(self, domain: DnsName, year: int) -> Optional[SOA]:
         """Parse the domain's PDNS SOA row active in ``year`` (if any)."""
-        from ..dns.rdata import RRType, SOA
-        from ..net.clock import year_bounds
-
         start, end = year_bounds(year)
         for record in self._replication.pdns.lookup(domain, RRType.SOA):
             if not record.active_during(start, end):

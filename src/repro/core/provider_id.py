@@ -25,6 +25,8 @@ __all__ = ["ProviderMatcher"]
 _AWS_PATTERN = re.compile(
     r"^ns-\d+\.awsdns-\d+\.(com|net|org|co\.uk)$"
 )
+# Amazon's base domains themselves (awsdns-12.net etc.).
+_AWS_BASE_PATTERN = re.compile(r"^awsdns-\d+\.(com|net|org)$")
 _AZURE_PATTERN = re.compile(
     r"^ns\d+-\d+\.azure-dns\.(com|net|org|info)$"
 )
@@ -69,10 +71,20 @@ class ProviderMatcher:
             for spec in providers
             if spec.soa_rname
         }
+        # hostname → provider key: a study's NS names repeat across
+        # domains and years, so each distinct name is matched once.
+        self._by_hostname: Dict[DnsName, Optional[str]] = {}
 
     # ------------------------------------------------------------------
     def match_hostname(self, hostname: DnsName) -> Optional[str]:
         """Provider key for one nameserver hostname, or None."""
+        if hostname in self._by_hostname:
+            return self._by_hostname[hostname]
+        key = self._match_hostname(hostname)
+        self._by_hostname[hostname] = key
+        return key
+
+    def _match_hostname(self, hostname: DnsName) -> Optional[str]:
         text = str(hostname).rstrip(".")
         if self._use_patterns:
             if _AWS_PATTERN.match(text):
@@ -86,10 +98,7 @@ class ProviderMatcher:
         direct = self._by_base.get(base_text)
         if direct is not None:
             return direct
-        # Amazon/Azure base domains themselves (awsdns-12.net etc.).
-        if self._use_patterns and re.match(
-            r"^awsdns-\d+\.(com|net|org)$", base_text
-        ):
+        if self._use_patterns and _AWS_BASE_PATTERN.match(base_text):
             return "amazon"
         return None
 

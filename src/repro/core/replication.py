@@ -11,12 +11,13 @@ Two data sources, as in the paper:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..dns.name import DnsName
 from ..dns.rdata import RRType
-from ..net.clock import SECONDS_PER_DAY, year_bounds
+from ..inet.clock import SECONDS_PER_DAY, year_bounds
 from ..pdns.database import PdnsDatabase
 from ..pdns.filtering import stable_records
 from ..pdns.record import PdnsRecord
@@ -40,25 +41,25 @@ class CountryMapper:
         }
 
     def country_of(self, name: DnsName) -> Optional[str]:
-        best: Optional[Tuple[int, str]] = None
-        for suffix, iso2 in self._by_suffix.items():
-            if name.is_subdomain_of(suffix):
-                if best is None or len(suffix) > best[0]:
-                    best = (len(suffix), iso2)
-        return best[1] if best is not None else None
+        suffix = self.seed_suffix_of(name)
+        return None if suffix is None else self._by_suffix[suffix]
 
     def seed_suffix_of(self, name: DnsName) -> Optional[DnsName]:
-        best: Optional[DnsName] = None
-        for suffix in self._by_suffix:
-            if name.is_subdomain_of(suffix):
-                if best is None or len(suffix) > len(best):
-                    best = suffix
-        return best
+        # Ancestors come nearest first, so the first seed hit is the
+        # longest matching suffix.
+        for ancestor in name.ancestors(include_self=True):
+            if ancestor in self._by_suffix:
+                return ancestor
+        return None
 
 
 @dataclass
 class YearState:
     """One domain's summarized state for one calendar year."""
+
+    __slots__ = (
+        "domain", "iso2", "year", "mode_ns_count", "hostnames", "private"
+    )
 
     domain: DnsName
     iso2: str
@@ -68,25 +69,15 @@ class YearState:
     private: bool  # every hostname inside the domain's own d_gov
 
 
-def _daily_count_durations(
-    intervals: Sequence[Tuple[float, float]], year_start: float, year_end: float
-) -> Dict[int, float]:
-    """Time spent at each active-record count over a year.
+def _summarize_events(events: List[Tuple[float, int]], how: str) -> int:
+    """One year's NS_daily summary from its (moment, ±1) record events.
 
-    ``intervals`` are (first_seen, last_seen) spans; periods with zero
-    active records are ignored (the paper's NS_daily only includes days
-    where NS records appear active).
+    Every event pair spans a non-empty interval.  The sweep times each
+    active-record count (periods with zero active records are ignored:
+    the paper's NS_daily only includes days where NS records appear
+    active), then collapses the durations: ``mode`` (ties break toward
+    the larger deployment), ``min`` or ``max``.
     """
-    events: List[Tuple[float, int]] = []
-    for first, last in intervals:
-        start = max(first, year_start)
-        end = min(last + SECONDS_PER_DAY, year_end)  # last day inclusive
-        if end <= start:
-            continue
-        events.append((start, 1))
-        events.append((end, -1))
-    if not events:
-        return {}
     events.sort()
     duration_by_count: Dict[int, float] = {}
     active = 0
@@ -98,34 +89,11 @@ def _daily_count_durations(
             )
         active += delta
         previous = moment
-    return duration_by_count
-
-
-def _mode_of_daily_counts(
-    intervals: Sequence[Tuple[float, float]], year_start: float, year_end: float
-) -> int:
-    """Mode of the per-day active-record count (the paper's Figure-5
-    summarization); ties break toward the larger deployment."""
-    durations = _daily_count_durations(intervals, year_start, year_end)
-    if not durations:
-        return 0
-    return max(durations.items(), key=lambda kv: (kv[1], kv[0]))[0]
-
-
-def _summarize_daily_counts(
-    intervals: Sequence[Tuple[float, float]],
-    year_start: float,
-    year_end: float,
-    how: str,
-) -> int:
-    durations = _daily_count_durations(intervals, year_start, year_end)
-    if not durations:
-        return 0
     if how == "min":
-        return min(durations)
+        return min(duration_by_count)
     if how == "max":
-        return max(durations)
-    return max(durations.items(), key=lambda kv: (kv[1], kv[0]))[0]
+        return max(duration_by_count)
+    return max(duration_by_count.items(), key=lambda kv: (kv[1], kv[0]))[0]
 
 
 class PdnsReplicationAnalysis:
@@ -177,39 +145,66 @@ class PdnsReplicationAnalysis:
         return rows
 
     def year_states(self) -> Dict[int, Dict[DnsName, YearState]]:
-        """Per-year, per-domain deployment summaries (cached)."""
+        """Per-year, per-domain deployment summaries (cached).
+
+        One pass over each domain's records clips every record's
+        lifetime ``[first_seen, last_seen + 1 day)`` into each year it
+        is ``active_during``, then one sweep per (domain, year) yields
+        the NS_daily summary.  ``active_during`` alone decides the
+        years: a record last seen late on Dec 31 does not count in the
+        next year, though its inclusive last day reaches into it.
+        """
         if self._states is not None:
             return self._states
-        rows = self._domain_rows()
         states: Dict[int, Dict[DnsName, YearState]] = {
             year: {} for year in self._years
         }
-        suffix_cache: Dict[DnsName, Optional[DnsName]] = {}
-        for domain, (iso2, records) in rows.items():
-            seed_suffix = suffix_cache.get(domain)
-            if domain not in suffix_cache:
-                seed_suffix = self._mapper.seed_suffix_of(domain)
-                suffix_cache[domain] = seed_suffix
-            for year in self._years:
-                start, end = year_bounds(year)
-                active = [
-                    r for r in records if r.active_during(start, end)
-                ]
-                if not active:
-                    continue
-                mode = _summarize_daily_counts(
-                    [(r.first_seen, r.last_seen) for r in active],
-                    start,
-                    end,
-                    self._year_summary,
-                )
-                if mode <= 0:
-                    continue
-                hostnames = tuple(sorted({r.rdata for r in active}))
-                private = bool(seed_suffix) and all(
-                    DnsName.parse(h).is_subdomain_of(seed_suffix)
-                    for h in hostnames
-                )
+        years = sorted(states)
+        starts = [year_bounds(year)[0] for year in years]
+        ends = [year_bounds(year)[1] for year in years]
+        # The events of a record that spans a whole year are that year's
+        # bounds, shared rather than rebuilt for every such record.
+        opens = [(start, 1) for start in starts]
+        closes = [(end, -1) for end in ends]
+        for domain, (iso2, records) in self._domain_rows().items():
+            # year index → (events, hostnames of the records active then)
+            by_year: Dict[int, Tuple[List[Tuple[float, int]], Set[str]]] = {}
+            for record in records:
+                first = record.first_seen
+                stop = record.last_seen + SECONDS_PER_DAY  # last day inclusive
+                # The years where ``record.active_during(start, end)``
+                # holds (end > first_seen, start <= last_seen) are one
+                # run of the sorted years.  Clipped to one of them, the
+                # interval is never empty.
+                for index in range(
+                    bisect_right(ends, first),
+                    bisect_right(starts, record.last_seen),
+                ):
+                    entry = by_year.get(index)
+                    if entry is None:
+                        entry = by_year[index] = ([], set())
+                    events, active_hosts = entry
+                    active_hosts.add(record.rdata)
+                    events.append(
+                        opens[index] if first <= starts[index] else (first, 1)
+                    )
+                    events.append(
+                        closes[index] if stop >= ends[index] else (stop, -1)
+                    )
+            seed_suffix = self._mapper.seed_suffix_of(domain)
+            # Neighbouring years mostly share a nameserver set.
+            private_by_hostnames: Dict[Tuple[str, ...], bool] = {}
+            for index, (events, active_hosts) in by_year.items():
+                mode = _summarize_events(events, self._year_summary)
+                hostnames = tuple(sorted(active_hosts))
+                private = private_by_hostnames.get(hostnames)
+                if private is None:
+                    private = bool(seed_suffix) and all(
+                        DnsName.parse(h).is_subdomain_of(seed_suffix)
+                        for h in hostnames
+                    )
+                    private_by_hostnames[hostnames] = private
+                year = years[index]
                 states[year][domain] = YearState(
                     domain=domain,
                     iso2=iso2,

@@ -51,6 +51,9 @@ class GovernmentDnsStudy:
     _pdns_replication: Optional[PdnsReplicationAnalysis] = field(
         default=None, repr=False
     )
+    _centralization: Optional[CentralizationAnalysis] = field(
+        default=None, repr=False
+    )
 
     # ------------------------------------------------------------------
     # Stage 1: seed selection (§III-A)
@@ -135,9 +138,11 @@ class GovernmentDnsStudy:
         return DiversityAnalysis(self.dataset(), self.world.geoip)
 
     def centralization(self) -> CentralizationAnalysis:
-        return CentralizationAnalysis(
-            self.pdns_replication(), ProviderMatcher()
-        )
+        if self._centralization is None:
+            self._centralization = CentralizationAnalysis(
+                self.pdns_replication(), ProviderMatcher()
+            )
+        return self._centralization
 
     def _government_suffixes(self) -> Dict[str, DnsName]:
         return {iso2: seed.d_gov for iso2, seed in self.seeds().items()}

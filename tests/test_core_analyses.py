@@ -3,15 +3,22 @@ identification, centralization, delegation, consistency."""
 
 import pytest
 
-from repro.core.centralization import MAJOR_PROVIDERS
+from repro.core.centralization import MAJOR_PROVIDERS, CentralizationAnalysis
 from repro.core.consistency import ConsistencyClass
 from repro.core.delegation import DelegationClass
 from repro.core.provider_id import ProviderMatcher, base_domain_of
-from repro.core.replication import CountryMapper, _mode_of_daily_counts
+from repro.core.replication import CountryMapper
+from repro.core.seeds import Seed
+from repro.core.study import GovernmentDnsStudy
 from repro.dns import DnsName, SOA
-from repro.net.clock import SECONDS_PER_DAY, year_bounds
+from repro.dns.rdata import RRType
+from repro.inet.clock import SECONDS_PER_DAY, year_bounds
+from repro.report import paperkit
+from repro.worldgen import WorldConfig, WorldGenerator
 from repro.worldgen.faults import Consistency
 from repro.worldgen.generator import TargetStatus
+from tests.conftest import TEST_SEED
+from tests.ns_daily_reference import mode_of_daily_counts
 
 N = DnsName.parse
 
@@ -22,7 +29,7 @@ class TestModeOfDailyCounts:
 
     def test_single_stable_record(self):
         start, end = self.year()
-        assert _mode_of_daily_counts([(start, end - 1)], start, end) == 1
+        assert mode_of_daily_counts([(start, end - 1)], start, end) == 1
 
     def test_majority_wins(self):
         start, end = self.year()
@@ -32,24 +39,24 @@ class TestModeOfDailyCounts:
             (start, end - 1),
             (start, start + 30 * SECONDS_PER_DAY),
         ]
-        assert _mode_of_daily_counts(intervals, start, end) == 2
+        assert mode_of_daily_counts(intervals, start, end) == 2
 
     def test_ties_break_upward(self):
         start, end = self.year()
         half = start + (end - start) / 2
         intervals = [(start, end - 1), (half, end - 1)]
         # Half the year at 1, half at 2 → prefer 2.
-        assert _mode_of_daily_counts(intervals, start, end) == 2
+        assert mode_of_daily_counts(intervals, start, end) == 2
 
     def test_no_active_days(self):
         start, end = self.year()
         before = start - 100 * SECONDS_PER_DAY
-        assert _mode_of_daily_counts([(before, before + 10)], start, end) == 0
+        assert mode_of_daily_counts([(before, before + 10)], start, end) == 0
 
     def test_clipping_to_year(self):
         start, end = self.year()
         intervals = [(start - 1e9, end + 1e9)]
-        assert _mode_of_daily_counts(intervals, start, end) == 1
+        assert mode_of_daily_counts(intervals, start, end) == 1
 
 
 class TestCountryMapper:
@@ -58,6 +65,45 @@ class TestCountryMapper:
         assert mapper.country_of(N("x.gov.au")) == "AU"
         assert mapper.country_of(N("deep.thing.go.th")) == "TH"
         assert mapper.country_of(N("x.example.com")) is None
+
+    @staticmethod
+    def nested_mapper(reverse: bool) -> CountryMapper:
+        seeds = [
+            Seed("XX", N("gov.xx"), True, "link", True),
+            Seed("AG", N("agency.gov.xx"), False, "msq", True),
+            Seed("YY", N("gob.yy"), True, "link", True),
+        ]
+        if reverse:
+            seeds.reverse()
+        return CountryMapper({seed.iso2: seed for seed in seeds})
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_nested_seeds_longest_suffix_wins(self, reverse):
+        mapper = self.nested_mapper(reverse)
+        for name, iso2, suffix in (
+            ("www.unit.agency.gov.xx", "AG", "agency.gov.xx"),
+            ("unit.agency.gov.xx", "AG", "agency.gov.xx"),
+            ("health.gov.xx", "XX", "gov.xx"),
+            ("agencyx.gov.xx", "XX", "gov.xx"),
+            ("a.gob.yy", "YY", "gob.yy"),
+        ):
+            assert mapper.country_of(N(name)) == iso2, name
+            assert mapper.seed_suffix_of(N(name)) == N(suffix), name
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_name_equal_to_a_seed(self, reverse):
+        mapper = self.nested_mapper(reverse)
+        assert mapper.country_of(N("agency.gov.xx")) == "AG"
+        assert mapper.seed_suffix_of(N("agency.gov.xx")) == N("agency.gov.xx")
+        assert mapper.country_of(N("gov.xx")) == "XX"
+        assert mapper.seed_suffix_of(N("gov.xx")) == N("gov.xx")
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_names_under_no_seed(self, reverse):
+        mapper = self.nested_mapper(reverse)
+        for name in ("x.example.com", "xx", "gov.yy", "agency.xx", "."):
+            assert mapper.country_of(N(name)) is None, name
+            assert mapper.seed_suffix_of(N(name)) is None, name
 
 
 class TestPdnsReplication:
@@ -244,6 +290,45 @@ class TestCentralization:
         rows = study.centralization().top_providers(2020, limit=5)
         for row in rows:
             assert 0.0 < row.group_share <= 1.0
+
+
+@pytest.fixture(scope="module")
+def malformed_soa_study():
+    """A small study whose PDNS carries an unparseable SOA row for every
+    domain, so the SOA fallback of Tables II/III counts parse failures;
+    the paper tables are rendered once."""
+    world = WorldGenerator(WorldConfig(seed=TEST_SEED, scale=0.002)).generate()
+    study = GovernmentDnsStudy(world)
+    first, _ = year_bounds(2011)
+    _, last = year_bounds(2020)
+    domains = {
+        domain
+        for states in study.pdns_replication().year_states().values()
+        for domain in states
+    }
+    for domain in sorted(domains):
+        world.pdns.observe_span(
+            domain, RRType.SOA, "bad..name. hostmaster.x.", first, last - 1
+        )
+    paperkit.render_all(study)
+    return study
+
+
+class TestStudyCentralizationCache:
+    def test_one_instance_per_study(self, study):
+        assert study.centralization() is study.centralization()
+
+    def test_render_counts_soa_failures_once_per_year(self, malformed_soa_study):
+        oracle = CentralizationAnalysis(
+            malformed_soa_study.pdns_replication(), ProviderMatcher()
+        )
+        for year in (2011, 2020):  # the years Tables II and III read
+            oracle._year_provider_maps(year)
+        assert oracle.soa_parse_failures > 0
+        assert (
+            malformed_soa_study.centralization().soa_parse_failures
+            == oracle.soa_parse_failures
+        )
 
 
 class TestDelegationAnalysis:

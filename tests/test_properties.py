@@ -8,18 +8,21 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.replication import (
-    _daily_count_durations,
-    _mode_of_daily_counts,
-    _summarize_daily_counts,
-)
+from repro.core.replication import PdnsReplicationAnalysis
+from repro.core.seeds import Seed
 from repro.dns.name import DnsName
 from repro.dns.rdata import NS, RRType
 from repro.dns.rrset import RRset
 from repro.dns.zone import LookupStatus, Zone
-from repro.net.clock import SECONDS_PER_DAY, year_bounds
+from repro.inet.clock import SECONDS_PER_DAY, year_bounds
 from repro.pdns.database import PdnsDatabase
 from repro.registry.registrar import PriceModel
+from tests.ns_daily_reference import (
+    daily_count_durations,
+    mode_of_daily_counts,
+    reference_year_states,
+    summarize_daily_counts,
+)
 
 LABEL = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=8
@@ -39,34 +42,105 @@ INTERVAL = st.tuples(
 class TestNsDailySummaries:
     @given(st.lists(INTERVAL, max_size=8))
     def test_durations_are_positive(self, intervals):
-        durations = _daily_count_durations(intervals, YEAR_START, YEAR_END)
+        durations = daily_count_durations(intervals, YEAR_START, YEAR_END)
         assert all(v > 0 for v in durations.values())
         assert all(k > 0 for k in durations)
 
     @given(st.lists(INTERVAL, max_size=8))
     def test_total_duration_bounded_by_year(self, intervals):
-        durations = _daily_count_durations(intervals, YEAR_START, YEAR_END)
+        durations = daily_count_durations(intervals, YEAR_START, YEAR_END)
         # Some intervals extend a day past year end (inclusive last
         # day), so allow that slack.
         assert sum(durations.values()) <= (YEAR_END - YEAR_START) + SECONDS_PER_DAY
 
     @given(st.lists(INTERVAL, max_size=8))
     def test_min_mode_max_ordering(self, intervals):
-        low = _summarize_daily_counts(intervals, YEAR_START, YEAR_END, "min")
-        mid = _summarize_daily_counts(intervals, YEAR_START, YEAR_END, "mode")
-        high = _summarize_daily_counts(intervals, YEAR_START, YEAR_END, "max")
+        low = summarize_daily_counts(intervals, YEAR_START, YEAR_END, "min")
+        mid = summarize_daily_counts(intervals, YEAR_START, YEAR_END, "mode")
+        high = summarize_daily_counts(intervals, YEAR_START, YEAR_END, "max")
         assert low <= mid <= high
 
     @given(st.lists(INTERVAL, min_size=1, max_size=8))
     def test_max_bounded_by_interval_count(self, intervals):
-        high = _summarize_daily_counts(intervals, YEAR_START, YEAR_END, "max")
+        high = summarize_daily_counts(intervals, YEAR_START, YEAR_END, "max")
         assert high <= len(intervals)
 
     @given(st.lists(INTERVAL, max_size=8))
     def test_mode_agrees_with_dedicated_function(self, intervals):
-        assert _mode_of_daily_counts(
+        assert mode_of_daily_counts(
             intervals, YEAR_START, YEAR_END
-        ) == _summarize_daily_counts(intervals, YEAR_START, YEAR_END, "mode")
+        ) == summarize_daily_counts(intervals, YEAR_START, YEAR_END, "mode")
+
+
+# The one-pass year_states against the per-year reference.  Records are
+# (domain, hostname, last_seen, span [, copies at the identical
+# interval]).  last_seen is drawn anywhere in 2010-2021, within a day of
+# a year boundary, or a day before a mid-year (so the inclusive last day
+# ends exactly there and the two halves of a year can tie).  Spans reach
+# across several years; spans under the 7-day stability threshold leave
+# some domains with no stable rows.
+PDNS_YEARS = tuple(range(2011, 2021))
+YEAR_EDGES = tuple(year_bounds(year)[0] for year in range(2010, 2023))
+BEFORE_MID_YEARS = tuple(
+    (start + end) / 2 - SECONDS_PER_DAY
+    for start, end in map(year_bounds, range(2010, 2022))
+)
+PDNS_SEEDS = {
+    "XX": Seed("XX", DnsName.parse("gov.xx"), True, "link", True),
+    "YY": Seed("YY", DnsName.parse("gob.yy"), True, "link", True),
+}
+PDNS_DOMAINS = ("a.gov.xx", "b.gov.xx", "deep.a.gov.xx", "c.gob.yy")
+LAST_SEEN = st.one_of(
+    st.floats(min_value=YEAR_EDGES[0], max_value=YEAR_EDGES[-1]),
+    st.tuples(
+        st.sampled_from(YEAR_EDGES),
+        st.floats(min_value=-SECONDS_PER_DAY, max_value=SECONDS_PER_DAY),
+    ).map(sum),
+    st.sampled_from(BEFORE_MID_YEARS),
+)
+SPAN = st.one_of(
+    st.sampled_from(
+        (0.0, 6 * SECONDS_PER_DAY, 7 * SECONDS_PER_DAY, 365 * SECONDS_PER_DAY)
+    ),
+    st.floats(min_value=0, max_value=4 * 366 * SECONDS_PER_DAY),
+)
+PDNS_ROW = st.tuples(
+    st.sampled_from(PDNS_DOMAINS),
+    st.integers(min_value=0, max_value=3),
+    LAST_SEEN,
+    SPAN,
+    st.integers(min_value=0, max_value=2),
+)
+
+
+def hostname_for(domain: str, index: int) -> str:
+    # Index 3 lies outside every seed, so privacy varies per domain.
+    return "ns.provider.example." if index == 3 else f"ns{index}.{domain}."
+
+
+class TestYearStatesMatchPerYearReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(PDNS_ROW, max_size=14))
+    def test_one_pass_equals_per_year(self, rows):
+        db = PdnsDatabase()
+        for domain, host, last, span, copies in rows:
+            for offset in range(copies + 1):
+                db.observe_span(
+                    DnsName.parse(domain),
+                    RRType.NS,
+                    hostname_for(domain, (host + offset) % 4),
+                    last - span,
+                    last,
+                )
+        for how in ("mode", "min", "max"):
+            analysis = PdnsReplicationAnalysis(
+                db, PDNS_SEEDS, years=PDNS_YEARS, year_summary=how
+            )
+            expected = reference_year_states(analysis, PDNS_YEARS, how)
+            actual = analysis.year_states()
+            assert actual == expected, how
+            for year in PDNS_YEARS:
+                assert list(actual[year]) == list(expected[year]), (how, year)
 
 
 class TestZoneLookupProperties:
