@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from .core.study import GovernmentDnsStudy
 from .lint import cli as lint_cli
@@ -34,8 +34,7 @@ from .servelint import cli as servelint_cli
 from .zonelint import cli as zonelint_cli
 from .report.paperkit import ARTIFACTS, export_all
 from .report.tables import format_percent, render_table
-from .worldgen.config import WorldConfig
-from .worldgen.generator import World, WorldGenerator
+from .worldgen.churn import world_at_epoch
 
 __all__ = ["main", "build_parser"]
 
@@ -348,10 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_study(args: argparse.Namespace) -> GovernmentDnsStudy:
-    world = WorldGenerator(
-        WorldConfig(seed=args.seed, scale=args.scale)
-    ).generate()
-    return GovernmentDnsStudy(world)
+    return GovernmentDnsStudy(world_at_epoch(args.seed, args.scale))
 
 
 def _cmd_headline(args: argparse.Namespace, out) -> int:
@@ -461,9 +457,7 @@ def _cmd_hijackscan(args: argparse.Namespace, out) -> int:
 def _cmd_remediate(args: argparse.Namespace, out) -> int:
     from .remedies.sweeper import RemediationSweeper
 
-    world = WorldGenerator(
-        WorldConfig(seed=args.seed, scale=args.scale)
-    ).generate()
+    world = world_at_epoch(args.seed, args.scale)
     before_study = GovernmentDnsStudy(world)
     before = before_study.headline()
     report = RemediationSweeper(before_study).sweep()
@@ -580,6 +574,25 @@ def _check_chaos_arg(chaos: Optional[str], out) -> Optional[int]:
     return 2
 
 
+def _shard_count(value, out) -> Tuple[Optional[int], Optional[int]]:
+    """Validate a ``--shards`` value: ``(count, None)`` to proceed
+    (count None = in-process), or ``(None, 2)`` after reporting a usage
+    error.  ``auto`` is the CPU count."""
+    if value is None:
+        return None, None
+    if value == "auto":
+        return os.cpu_count() or 1, None
+    try:
+        shards = int(value)
+    except ValueError:
+        print(f"--shards must be an integer or 'auto', got {value!r}", file=out)
+        return None, 2
+    if shards < 1:
+        print(f"--shards must be >= 1, got {shards}", file=out)
+        return None, 2
+    return shards, None
+
+
 def _cmd_serve(args: argparse.Namespace, out) -> int:
     from .report.serving import ServingReport
     from .serve.profiles import install_chaos_profile
@@ -595,9 +608,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     if chaos_status is not None:
         return chaos_status
 
-    world = WorldGenerator(
-        WorldConfig(seed=args.seed, scale=args.scale)
-    ).generate()
+    world = world_at_epoch(args.seed, args.scale)
     config = ServeConfig(
         serve_stale=not args.no_serve_stale,
         prefetch=not args.no_prefetch,
@@ -678,34 +689,18 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
         )
         return 2
 
-    shards: Optional[int] = None
-    if args.shards is not None:
-        if args.shards == "auto":
-            shards = os.cpu_count() or 1
-        else:
-            try:
-                shards = int(args.shards)
-            except ValueError:
-                print(
-                    f"--shards must be an integer or 'auto', "
-                    f"got {args.shards!r}",
-                    file=out,
-                )
-                return 2
-        if shards < 1:
-            print(f"--shards must be >= 1, got {shards}", file=out)
-            return 2
-        if args.kill_at_event is not None:
-            print(
-                "--kill-at-event needs the single-process engine (its "
-                "event count is tied to one scheduler); drop --shards",
-                file=out,
-            )
-            return 2
+    shards, shards_status = _shard_count(args.shards, out)
+    if shards_status is not None:
+        return shards_status
+    if shards is not None and args.kill_at_event is not None:
+        print(
+            "--kill-at-event needs the single-process engine (its "
+            "event count is tied to one scheduler); drop --shards",
+            file=out,
+        )
+        return 2
 
-    world = WorldGenerator(
-        WorldConfig(seed=args.seed, scale=args.scale)
-    ).generate()
+    world = world_at_epoch(args.seed, args.scale)
     study = GovernmentDnsStudy(world)
     # Seed selection runs its own queries; compute targets before
     # installing chaos or arming the kill switch so both anchor at the
@@ -717,26 +712,25 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
 
     if shards is not None:
         from .core.probe import ProbeConfig
-        from .core.shard import ProcessCampaignRunner, government_suffixes
+        from .core.shard import government_suffixes, run_campaign
 
-        runner = ProcessCampaignRunner(
-            world,
-            targets,
-            ProbeConfig(),
-            shards=shards,
-            suffixes=government_suffixes(study.seeds().values()),
-            journal_path=args.resume or args.journal,
-        )
         try:
-            dataset = runner.run()
+            dataset, counters = run_campaign(
+                world,
+                targets,
+                ProbeConfig(),
+                shards=shards,
+                suffixes=government_suffixes(study.seeds().values()),
+                journal_path=args.resume or args.journal,
+            )
         except ValueError as error:
             print(f"error: {error}", file=out)
             return 2
         print(f"domains probed: {len(dataset)}", file=out)
         print(f"dataset-digest: {dataset_digest(dataset)}", file=out)
-        for stats in runner.shard_stats:
+        for index, stats in enumerate(counters.per_shard):
             print(
-                f"shard {stats.shard}: targets={stats.targets} "
+                f"shard {index}: targets={stats.targets} "
                 f"queries={stats.queries_sent} "
                 f"(warm={stats.warm_queries}) "
                 f"net={stats.network_queries} "
@@ -895,14 +889,14 @@ def _cmd_longitudinal(args: argparse.Namespace, out) -> int:
             file=out,
         )
         return 2
-    world = WorldGenerator(
-        WorldConfig(seed=args.seed, scale=args.scale)
-    ).generate()
+    shards, shards_status = _shard_count(args.shards, out)
+    if shards_status is not None:
+        return shards_status
     runner = EpochRunner(
-        world,
+        world_at_epoch(args.seed, args.scale),
         incremental=not args.full,
         audit_rate=args.audit_rate,
-        shards=args.shards,
+        shards=shards,
     )
     runner.run(args.epochs)
     report = TrendReport.from_runner(runner)
@@ -916,17 +910,11 @@ def _cmd_longitudinal(args: argparse.Namespace, out) -> int:
         # dataset must hash identically to a from-scratch full campaign
         # over that epoch's world.
         from .core.journal import dataset_digest
-        from .core.probe import ActiveProber
-        from .worldgen.churn import world_at_epoch
 
         divergent = False
         for epoch in range(args.epochs + 1):
             fresh = world_at_epoch(args.seed, args.scale, epoch)
-            study = GovernmentDnsStudy(fresh)
-            prober = ActiveProber(
-                fresh.network, fresh.root_addresses, fresh.probe_source
-            )
-            full_digest = dataset_digest(prober.probe_all(study.targets()))
+            full_digest = dataset_digest(GovernmentDnsStudy(fresh).dataset())
             incremental_digest = runner.dataset.epoch_digest(epoch)
             if full_digest == incremental_digest:
                 print(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..net.address import IPv4Address
+from ..inet.address import IPv4Address
 from ..net.network import Network
 from .dataset import MeasurementDataset, ParentStatus
 

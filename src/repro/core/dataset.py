@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..dns.name import DnsName
-from ..net.address import IPv4Address
+from ..inet.address import IPv4Address
 
 __all__ = [
     "ParentStatus",

@@ -41,33 +41,15 @@ from ..worldgen.churn import ChurnPlan, advance_world
 from .dataset import MeasurementDataset
 from .journal import result_to_dict
 from .longitudinal import LongitudinalDataset
-from .probe import ActiveProber, ProbeConfig
-from .shard import ProcessCampaignRunner, government_suffixes
+from .probe import ProbeConfig
+from .shard import CampaignCounters, government_suffixes, run_campaign
 from .study import GovernmentDnsStudy
 
-__all__ = ["EpochRunner", "EpochStats", "ProbeCounters"]
+__all__ = ["EpochRunner", "EpochStats"]
 
 FeedsFactory = Callable[
     [int, Dict[DnsName, str], Tuple[DnsName, ...]], Tuple[CountryFeed, ...]
 ]
-
-
-@dataclass
-class ProbeCounters:
-    """Aggregated cost of one epoch's probing."""
-
-    queries_sent: int = 0
-    warm_queries: int = 0
-    network_queries: int = 0
-    timeouts: int = 0
-    simulated_seconds: float = 0.0
-
-    def merge(self, other: "ProbeCounters") -> None:
-        self.queries_sent += other.queries_sent
-        self.warm_queries += other.warm_queries
-        self.network_queries += other.network_queries
-        self.timeouts += other.timeouts
-        self.simulated_seconds += other.simulated_seconds
 
 
 @dataclass(frozen=True)
@@ -132,9 +114,9 @@ class EpochRunner:
     noise:
         Sensor noise intensities; defaults to :class:`SensorNoise`'s.
     shards:
-        When > 1, epoch probes run through
-        :class:`~repro.core.shard.ProcessCampaignRunner` with the epoch
-        threaded into its merge labels.
+        Worker-process count for every epoch probe, passed to
+        :func:`~repro.core.shard.run_campaign` (None probes in-process);
+        the epoch is threaded into the shard merge labels.
     feeds_factory:
         Test hook replacing the sensor: called as
         ``feeds_factory(epoch, targets, changed_domains)``.
@@ -207,51 +189,31 @@ class EpochRunner:
     # ------------------------------------------------------------------
     def _probe(
         self, subset: Dict[DnsName, str], epoch: int
-    ) -> Tuple[MeasurementDataset, ProbeCounters]:
+    ) -> Tuple[MeasurementDataset, CampaignCounters]:
         if not subset:
-            return MeasurementDataset({}), ProbeCounters()
-        network = self._world.network
-        base_queries = network.stats.queries_sent
-        base_timeouts = network.stats.timeouts
-        started_at = self._world.clock.now
-        if self._shards is not None and self._shards > 1:
-            runner = ProcessCampaignRunner(
-                self._world,
-                subset,
-                self._config,
-                shards=self._shards,
-                suffixes=self._suffixes,
-                epoch=epoch,
-            )
-            dataset = runner.run()
-            counters = ProbeCounters(
-                queries_sent=sum(s.queries_sent for s in runner.shard_stats),
-                warm_queries=sum(s.warm_queries for s in runner.shard_stats),
-                network_queries=sum(
-                    s.network_queries for s in runner.shard_stats
-                ),
-                timeouts=sum(s.timeouts for s in runner.shard_stats),
-                simulated_seconds=max(
-                    (s.simulated_seconds for s in runner.shard_stats),
-                    default=0.0,
-                ),
-            )
-        else:
-            prober = ActiveProber(
-                network,
-                self._world.root_addresses,
-                self._world.probe_source,
-                config=self._config,
-            )
-            dataset = prober.probe_all(subset)
-            counters = ProbeCounters(
-                queries_sent=prober.queries_sent,
-                warm_queries=prober.warm_queries,
-                network_queries=network.stats.queries_sent - base_queries,
-                timeouts=network.stats.timeouts - base_timeouts,
-                simulated_seconds=self._world.clock.now - started_at,
-            )
-        return dataset, counters
+            return MeasurementDataset({}), CampaignCounters()
+        return run_campaign(
+            self._world,
+            subset,
+            self._config,
+            shards=self._shards,
+            suffixes=self._suffixes,
+            epoch=epoch,
+        )
+
+    def _record(self, counters: CampaignCounters, **fields) -> EpochStats:
+        """Append one epoch's row: its probe cost plus ``fields``."""
+        stats = EpochStats(
+            targets=len(self._targets),
+            queries_sent=counters.queries_sent,
+            warm_queries=counters.warm_queries,
+            network_queries=counters.network_queries,
+            timeouts=counters.timeouts,
+            simulated_seconds=counters.simulated_seconds,
+            **fields,
+        )
+        self.stats.append(stats)
+        return stats
 
     def _audit_sample(self, epoch: int) -> Tuple[DnsName, ...]:
         rng = random.Random(f"{self._seed}:{self._scale}:audit:{epoch}")
@@ -268,26 +230,19 @@ class EpochRunner:
             raise RuntimeError("bootstrap() already ran")
         dataset, counters = self._probe(dict(self._targets), epoch=0)
         self._dataset = LongitudinalDataset(dataset)
-        stats = EpochStats(
+        return self._record(
+            counters,
             epoch=0,
-            targets=len(self._targets),
             probed=len(dataset),
             flagged=0,
             audited=0,
             changed=len(dataset),
             dead_feeds=(),
             escalated=(),
-            queries_sent=counters.queries_sent,
-            warm_queries=counters.warm_queries,
-            network_queries=counters.network_queries,
-            timeouts=counters.timeouts,
-            simulated_seconds=counters.simulated_seconds,
             responsive=dataset.columns.responsive.count(1),
             epoch_digest=self._dataset.epoch_digest(0),
             chain_digest=self._dataset.chain_digest(0),
         )
-        self.stats.append(stats)
-        return stats
 
     # ------------------------------------------------------------------
     # Epochs 1..N
@@ -361,32 +316,25 @@ class EpochRunner:
                     if domain not in probed
                 }
                 extra, extra_counters = self._probe(escalate_targets, epoch)
-                counters.merge(extra_counters)
+                counters += extra_counters
                 probed.update(extra.results)
 
         delta = self._dataset.append_epoch(probed)  # type: ignore[arg-type]
         responsive = self._dataset.columns_at(epoch).responsive.count(1)
-        stats = EpochStats(
+        self._epoch = epoch
+        return self._record(
+            counters,
             epoch=epoch,
-            targets=len(self._targets),
             probed=len(probed),
             flagged=len(flagged),
             audited=len(audit),
             changed=len(delta.changed),
             dead_feeds=tuple(sorted(dead_feeds)),
             escalated=tuple(escalated),
-            queries_sent=counters.queries_sent,
-            warm_queries=counters.warm_queries,
-            network_queries=counters.network_queries,
-            timeouts=counters.timeouts,
-            simulated_seconds=counters.simulated_seconds,
             responsive=responsive,
             epoch_digest=delta.epoch_digest,
             chain_digest=delta.chain_digest,
         )
-        self._epoch = epoch
-        self.stats.append(stats)
-        return stats
 
     def run(self, epochs: int) -> List[EpochStats]:
         """Bootstrap (if needed) then run ``epochs`` churn epochs."""

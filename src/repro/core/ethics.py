@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from ..dns.name import DnsName
 from ..dns.rdata import PTR
 from ..dns.zone import Zone
-from ..net.address import IPv4Address
-from ..net.clock import SimulatedClock
+from ..inet.address import IPv4Address
+from ..inet.clock import SimulatedClock
 
 __all__ = ["RateLimiter", "research_ptr_zone"]
 

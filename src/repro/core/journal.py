@@ -72,7 +72,7 @@ import json
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..dns.name import DnsName, parse_cached
-from ..net.address import IPv4Address
+from ..inet.address import IPv4Address
 from ..net.network import Network
 from .dataset import MeasurementDataset, ProbeResult, ServerProbe
 

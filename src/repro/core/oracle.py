@@ -373,16 +373,14 @@ def run_oracle_mode(
     bypasses the delivery path, but truth-before-fault keeps the
     methodology honest.
     """
-    from ..dns.message import Rcode, make_response
-    from ..net.chaos import build_profile
-    from ..worldgen.config import WorldConfig
-    from ..worldgen.generator import WorldGenerator
+    from ..serve.profiles import install_chaos_profile
+    from ..worldgen.churn import world_at_epoch
     from .probe import ProbeConfig
     from .study import GovernmentDnsStudy
 
     if mode not in ORACLE_MODES:
         raise ValueError(f"unknown oracle mode: {mode!r}")
-    world = WorldGenerator(WorldConfig(seed=seed, scale=scale)).generate()
+    world = world_at_epoch(seed, scale)
     if mode == "serial":
         config = ProbeConfig(max_in_flight=1, zone_cut_caching=False)
     else:
@@ -400,15 +398,7 @@ def run_oracle_mode(
     profile: Optional[str] = None
     if mode == "chaos":
         profile = chaos_profile
-        world.network.chaos = build_profile(
-            chaos_profile,
-            sorted(world.network.addresses()),
-            seed=seed,
-            start=world.clock.now,
-            refusal_factory=lambda query: make_response(
-                query, rcode=Rcode.REFUSED
-            ),
-        )
+        install_chaos_profile(world.network, chaos_profile, seed=seed)
     dataset = study.dataset()
     oracle = DifferentialOracle(world, table, allowlist=allowlist)
     return oracle.compare(dataset, mode, chaos_profile=profile)

@@ -70,7 +70,7 @@ from ..dns.message import Message, Rcode, make_query
 from ..dns.name import DnsName
 from ..dns.rdata import RRType, A
 from ..dns.resolver import Resolver
-from ..net.address import IPv4Address
+from ..inet.address import IPv4Address
 from ..net.events import PendingExchange
 from ..net.network import Network
 from ..net.resilience import BackoffPolicy, CircuitBreaker, ResilienceCounters

@@ -38,9 +38,15 @@ Three mechanisms carry that promise:
 
 Workers prefer the ``fork`` start method (the parent's generated world
 is inherited copy-on-write — no pickling, no re-generation); under
-``spawn`` each worker regenerates the world from ``world.config`` and
-re-derives the identical target list.  Journals are per-shard files
-under a manifest (see :mod:`repro.core.journal`).
+``spawn`` each worker regenerates the world from ``world.config``,
+re-derives the identical target list and keeps the parent's subset of
+it.  Journals are per-shard files under a manifest (see
+:mod:`repro.core.journal`).
+
+:func:`run_campaign` is the one executor every pipeline calls: inline
+when ``shards`` is None, this runner otherwise.  Its inline branch is
+also the body each worker runs, and both report
+:class:`CampaignCounters`.
 """
 
 from __future__ import annotations
@@ -66,12 +72,14 @@ from .journal import (
     shard_journal_path,
     write_shard_manifest,
 )
+from .probe import ActiveProber, ProbeConfig
 
 __all__ = [
+    "CampaignCounters",
     "ProcessCampaignRunner",
-    "ShardStats",
     "government_suffixes",
     "partition",
+    "run_campaign",
     "shard_index",
     "shard_key",
 ]
@@ -133,31 +141,54 @@ def partition(
 # Worker protocol
 # ----------------------------------------------------------------------
 @dataclass
-class ShardStats:
-    """Per-worker campaign accounting reported back to the parent."""
+class CampaignCounters:
+    """What a campaign cost: the one counter set every executor reports.
 
-    shard: int
-    targets: int
+    ``+=`` sums two probes run one after another on one clock; a fold
+    across shards (:meth:`fold_shards`) sums the counts but takes the
+    slowest shard's virtual seconds, since workers advance private
+    clock copies side by side.  ``per_shard`` is set only by a fold;
+    ``+=`` clears it, so a summed counter never shows a partial
+    breakdown.
+    """
+
+    targets: int = 0
     queries_sent: int = 0
     warm_queries: int = 0
     network_queries: int = 0
     timeouts: int = 0
     simulated_seconds: float = 0.0
+    # The per-worker counters behind a fold, in shard order.
+    per_shard: Tuple["CampaignCounters", ...] = field(
+        default=(), repr=False, compare=False
+    )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "shard": self.shard,
-            "targets": self.targets,
-            "queries_sent": self.queries_sent,
-            "warm_queries": self.warm_queries,
-            "network_queries": self.network_queries,
-            "timeouts": self.timeouts,
-            "simulated_seconds": self.simulated_seconds,
-        }
+    def __iadd__(self, other: "CampaignCounters") -> "CampaignCounters":
+        self.targets += other.targets
+        self.queries_sent += other.queries_sent
+        self.warm_queries += other.warm_queries
+        self.network_queries += other.network_queries
+        self.timeouts += other.timeouts
+        self.simulated_seconds += other.simulated_seconds
+        self.per_shard = ()
+        return self
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ShardStats":
-        return cls(**data)
+    def fold_shards(
+        cls, shards: List["CampaignCounters"]
+    ) -> "CampaignCounters":
+        total = cls()
+        for part in shards:
+            total += part
+        total.simulated_seconds = max(
+            (part.simulated_seconds for part in shards), default=0.0
+        )
+        total.per_shard = tuple(shards)
+        return total
+
+
+# What one worker ships back: serialized results plus its counters.
+_Payload = Tuple[List[Dict[str, Any]], CampaignCounters]
 
 
 @dataclass
@@ -170,12 +201,12 @@ class _ShardTask:
     shards: int
     seed: int
     scale: float
-    config: Any  # ProbeConfig; typed loosely to avoid an import cycle
+    config: ProbeConfig
     chaos_profile: Optional[str]
     journal_path: Optional[str]
     kill_at_event: Optional[int]
     epoch: int = 0
-    subset: Optional[Tuple[str, ...]] = None
+    subset: Tuple[str, ...] = ()
     world: Any = field(default=None, repr=False)
     shard_targets: Optional[Dict[DnsName, str]] = field(
         default=None, repr=False
@@ -186,65 +217,79 @@ class _ShardTask:
             return self.world, self.shard_targets
         # Spawn path: regenerate the identical world and re-derive the
         # identical target list (both pure functions of seed/scale),
-        # then take this worker's slice of the canonical partition.
-        # Epoch k's world is seed/scale world plus churn plans 1..k —
-        # also pure, so spawned workers converge with forked ones.
-        from ..worldgen.config import WorldConfig
-        from ..worldgen.generator import WorldGenerator
+        # keep the parent's subset, then take this worker's slice of
+        # the canonical partition.  Epoch k's world is seed/scale world
+        # plus churn plans 1..k — also pure, so spawned workers
+        # converge with forked ones.
+        from ..worldgen.churn import world_at_epoch
         from .study import GovernmentDnsStudy
 
-        world = WorldGenerator(
-            WorldConfig(seed=self.seed, scale=self.scale)
-        ).generate()
-        if self.epoch:
-            from ..worldgen.churn import advance_world
-
-            for step in range(1, self.epoch + 1):
-                advance_world(world, step)
+        world = world_at_epoch(self.seed, self.scale, self.epoch)
         study = GovernmentDnsStudy(world, probe_config=self.config)
-        targets = study.targets()
-        if self.subset is not None:
-            wanted = set(self.subset)
-            targets = {
-                domain: iso2
-                for domain, iso2 in targets.items()
-                if str(domain) in wanted
-            }
+        wanted = set(self.subset)
+        targets = {
+            domain: iso2
+            for domain, iso2 in study.targets().items()
+            if str(domain) in wanted
+        }
         suffixes = government_suffixes(study.seeds().values())
-        parts = partition(targets, self.shards, suffixes)
-        return world, parts[self.index]
+        return world, partition(targets, self.shards, suffixes)[self.index]
 
 
-def _install_chaos(world, profile: str, seed: int) -> None:
-    from ..dns.message import Rcode, make_response
-    from ..net.chaos import build_profile
+def _open_journal(path: Optional[str]) -> Optional[CampaignJournal]:
+    """Resume the journal at ``path`` if one exists, else start it."""
+    if path is None:
+        return None
+    if os.path.exists(path):
+        return CampaignJournal.resume(path)
+    return CampaignJournal.create(path)
 
-    world.network.chaos = build_profile(
-        profile,
-        sorted(world.network.addresses()),
-        seed=seed,
-        start=world.clock.now,
-        refusal_factory=lambda query: make_response(
-            query, rcode=Rcode.REFUSED
-        ),
+
+def _run_inline(
+    world,
+    targets: Dict[DnsName, str],
+    config: ProbeConfig,
+    journal_path: Optional[str] = None,
+) -> Tuple[MeasurementDataset, CampaignCounters]:
+    """Probe ``targets`` in this process and count what it cost: the
+    inline executor, and the body every shard worker runs."""
+    network = world.network
+    prober = ActiveProber(
+        network,
+        world.root_addresses,
+        world.probe_source,
+        config=config,
+        journal=_open_journal(journal_path),
+    )
+    started_at = world.clock.now
+    base_queries = network.stats.queries_sent
+    base_timeouts = network.stats.timeouts
+    dataset = prober.probe_all(targets)
+    return dataset, CampaignCounters(
+        targets=len(targets),
+        queries_sent=prober.queries_sent,
+        warm_queries=prober.warm_queries,
+        network_queries=network.stats.queries_sent - base_queries,
+        timeouts=network.stats.timeouts - base_timeouts,
+        simulated_seconds=world.clock.now - started_at,
     )
 
 
 def _shard_worker(task: _ShardTask, conn) -> None:
     """Run one shard's campaign and ship results over ``conn``.
 
-    Every exit path reports: success sends ``("ok", results, stats)``,
+    Every exit path reports: success sends ``("ok", results, counters)``,
     the kill harness sends ``("aborted", fired)``, and any other
     failure sends ``("error", traceback)`` before re-raising so the
     parent never hangs on a silent corpse.
     """
     try:
-        from .probe import ActiveProber
-
         world, shard_targets = task.materialize()
         network = world.network
         if task.chaos_profile is not None and network.chaos is None:
-            _install_chaos(world, task.chaos_profile, task.seed)
+            from ..serve.profiles import install_chaos_profile
+
+            install_chaos_profile(network, task.chaos_profile, task.seed)
         if task.shards > 1:
             # Disjoint derived streams per worker: sharing the base
             # stream would make each worker's draws depend on traffic
@@ -255,43 +300,20 @@ def _shard_worker(task: _ShardTask, conn) -> None:
             network.restore_rng_state(random.Random(material).getstate())
             if network.chaos is not None:
                 network.chaos.derive_rng(task.index)
-        journal: Optional[CampaignJournal] = None
-        if task.journal_path is not None:
-            path = shard_journal_path(task.journal_path, task.index)
-            if os.path.exists(path):
-                journal = CampaignJournal.resume(path)
-            else:
-                journal = CampaignJournal.create(path)
         if task.kill_at_event is not None:
             network.events.abort_after = (
                 network.events.fired + task.kill_at_event
             )
-        prober = ActiveProber(
-            network,
-            world.root_addresses,
-            world.probe_source,
-            config=task.config,
-            journal=journal,
+        journal_path = (
+            shard_journal_path(task.journal_path, task.index)
+            if task.journal_path is not None
+            else None
         )
-        started_at = world.clock.now
-        base_queries = network.stats.queries_sent
-        base_timeouts = network.stats.timeouts
-        dataset = prober.probe_all(shard_targets)
-        stats = ShardStats(
-            shard=task.index,
-            targets=len(shard_targets),
-            queries_sent=prober.queries_sent,
-            warm_queries=prober.warm_queries,
-            network_queries=network.stats.queries_sent - base_queries,
-            timeouts=network.stats.timeouts - base_timeouts,
-            simulated_seconds=world.clock.now - started_at,
+        dataset, counters = _run_inline(
+            world, shard_targets, task.config, journal_path
         )
         conn.send(
-            (
-                "ok",
-                [result_to_dict(result) for result in dataset],
-                stats.to_dict(),
-            )
+            ("ok", [result_to_dict(result) for result in dataset], counters)
         )
     except CampaignAborted as aborted:
         conn.send(("aborted", aborted.fired))
@@ -308,9 +330,9 @@ def _shard_worker(task: _ShardTask, conn) -> None:
 class ProcessCampaignRunner:
     """Partition, fan out, collect, merge — deterministically.
 
-    Parameters mirror what :meth:`GovernmentDnsStudy.dataset` already
-    has in hand: the generated world, the target list, the probe
-    config, and the suffix set the shard hash keys off.
+    Parameters mirror :func:`run_campaign`'s: the generated world, the
+    target list, the probe config, and the suffix set the shard hash
+    keys off.  ``kill_at_event`` arms the kill harness in every worker.
     """
 
     def __init__(
@@ -338,7 +360,7 @@ class ProcessCampaignRunner:
         # merge-collision errors carry the epoch label (the world passed
         # in must already be advanced to it).
         self._epoch = epoch
-        self.shard_stats: List[ShardStats] = []
+        self.shard_stats: List[CampaignCounters] = []
 
     # ------------------------------------------------------------------
     def _context(self):
@@ -363,12 +385,11 @@ class ProcessCampaignRunner:
             )
         parts = partition(self._targets, self.shards, self._suffixes)
         config = self._world.config
-        # Under spawn, epoch probes ship their (possibly partial) target
-        # subset by name so workers can slice the re-derived full list.
+        # Under spawn, the (possibly partial) target list travels by
+        # name so workers can slice the re-derived full list.
         subset = (
-            tuple(sorted(str(domain) for domain in self._targets))
-            if not forked and self._epoch is not None
-            else None
+            () if forked
+            else tuple(sorted(str(domain) for domain in self._targets))
         )
         return [
             _ShardTask(
@@ -389,7 +410,7 @@ class ProcessCampaignRunner:
         ]
 
     # ------------------------------------------------------------------
-    def collect(self) -> List[Tuple[List[Dict[str, Any]], ShardStats]]:
+    def collect(self) -> List[_Payload]:
         """Fan out the workers and gather per-shard payloads (in shard
         order).  Raises :class:`CampaignAborted` if any worker hit the
         kill harness, RuntimeError if any worker failed."""
@@ -405,17 +426,14 @@ class ProcessCampaignRunner:
         context = self._context()
         forked = context.get_start_method() == "fork"
         tasks = self._tasks(forked)
-        payloads: Dict[int, Tuple[List[Dict[str, Any]], ShardStats]] = {}
+        payloads: Dict[int, _Payload] = {}
         pending: Dict[Any, Tuple[int, Any]] = {}
         workers = []
         for task in tasks:
             if not task.shard_targets and forked:
                 # Nothing to probe (K exceeds distinct shard keys):
                 # skip the process, synthesize an empty payload.
-                payloads[task.index] = (
-                    [],
-                    ShardStats(shard=task.index, targets=0),
-                )
+                payloads[task.index] = ([], CampaignCounters())
                 continue
             receiver, sender = context.Pipe(duplex=False)
             process = context.Process(
@@ -453,10 +471,7 @@ class ProcessCampaignRunner:
                         receiver.close()
                     kind = message[0]
                     if kind == "ok":
-                        payloads[index] = (
-                            message[1],
-                            ShardStats.from_dict(message[2]),
-                        )
+                        payloads[index] = (message[1], message[2])
                     elif kind == "aborted":
                         aborted_fired.append(message[1])
                     else:
@@ -474,9 +489,7 @@ class ProcessCampaignRunner:
             raise CampaignAborted(sum(aborted_fired))
         return [payloads[index] for index in sorted(payloads)]
 
-    def merge(
-        self, collected: List[Tuple[List[Dict[str, Any]], ShardStats]]
-    ) -> MeasurementDataset:
+    def merge(self, collected: List[_Payload]) -> MeasurementDataset:
         """Deserialize per-shard results and restore admission order."""
         self.shard_stats = [stats for _, stats in collected]
         parts = [
@@ -504,3 +517,40 @@ class ProcessCampaignRunner:
 
     def run(self) -> MeasurementDataset:
         return self.merge(self.collect())
+
+
+# ----------------------------------------------------------------------
+# The executor
+# ----------------------------------------------------------------------
+def run_campaign(
+    world,
+    targets: Dict[DnsName, str],
+    config: ProbeConfig,
+    *,
+    shards: Optional[int] = None,
+    suffixes: FrozenSet[DnsName],
+    epoch: Optional[int] = None,
+    journal_path: Optional[str] = None,
+) -> Tuple[MeasurementDataset, CampaignCounters]:
+    """Run the §III campaign over ``targets`` — the one place that
+    picks the executor.
+
+    ``shards=None`` probes in this process; any integer K fans out over
+    K worker processes (:class:`ProcessCampaignRunner`) and folds their
+    counters.  The dataset digest is the same either way.  ``epoch``
+    labels a longitudinal probe for merge errors and spawned workers;
+    ``journal_path`` records (or resumes) a checkpoint journal.
+    """
+    if shards is None:
+        return _run_inline(world, targets, config, journal_path)
+    runner = ProcessCampaignRunner(
+        world,
+        targets,
+        config,
+        shards=shards,
+        suffixes=suffixes,
+        journal_path=journal_path,
+        epoch=epoch,
+    )
+    dataset = runner.run()
+    return dataset, CampaignCounters.fold_shards(runner.shard_stats)

@@ -20,10 +20,11 @@ from .consistency import ConsistencyAnalysis
 from .dataset import MeasurementDataset
 from .delegation import DelegationAnalysis
 from .diversity import DiversityAnalysis
-from .probe import ActiveProber, ProbeConfig
+from .probe import ProbeConfig
 from .provider_id import ProviderMatcher
 from .replication import ActiveReplicationAnalysis, PdnsReplicationAnalysis
 from .seeds import Seed, SeedSelector
+from .shard import government_suffixes, run_campaign
 from .targets import TargetListBuilder
 
 __all__ = ["GovernmentDnsStudy"]
@@ -98,27 +99,15 @@ class GovernmentDnsStudy:
     # ------------------------------------------------------------------
     def dataset(self) -> MeasurementDataset:
         if self._dataset is None:
-            if self.shards is not None:
-                from .shard import ProcessCampaignRunner, government_suffixes
-
-                runner = ProcessCampaignRunner(
-                    self.world,
-                    self.targets(),
-                    self.probe_config
-                    if self.probe_config is not None
-                    else ProbeConfig(),
-                    shards=self.shards,
-                    suffixes=government_suffixes(self.seeds().values()),
-                )
-                self._dataset = runner.run()
-            else:
-                prober = ActiveProber(
-                    self.world.network,
-                    self.world.root_addresses,
-                    self.world.probe_source,
-                    config=self.probe_config,
-                )
-                self._dataset = prober.probe_all(self.targets())
+            self._dataset, _ = run_campaign(
+                self.world,
+                self.targets(),
+                self.probe_config
+                if self.probe_config is not None
+                else ProbeConfig(),
+                shards=self.shards,
+                suffixes=government_suffixes(self.seeds().values()),
+            )
         return self._dataset
 
     # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ from typing import Dict, Iterable, Mapping, Tuple
 
 from ..dns.name import DnsName
 from ..dns.rdata import RRType
-from ..net.clock import date_to_epoch
+from ..inet.clock import date_to_epoch
 from ..pdns.database import PdnsDatabase
 from .seeds import Seed
 

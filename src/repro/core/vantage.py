@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..dns.name import DnsName
-from ..net.address import IPv4Address
+from ..inet.address import IPv4Address
 from ..net.network import Network
 from .dataset import MeasurementDataset, ProbeResult
 from .probe import ActiveProber, ProbeConfig

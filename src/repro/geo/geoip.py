@@ -3,7 +3,7 @@
 The paper resolves every nameserver to IPv4 addresses and then asks, per
 domain, how many /24 prefixes and how many ASNs those addresses span
 (Table I).  The /24 computation is pure arithmetic
-(:meth:`repro.net.address.IPv4Address.slash24`); the ASN side needs a
+(:meth:`repro.inet.address.IPv4Address.slash24`); the ASN side needs a
 longest-prefix-match database, which this module provides with a sorted
 interval table and binary search — the same query model as a compiled
 MaxMind database.
@@ -15,7 +15,7 @@ import bisect
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..net.address import IPv4Address, IPv4Prefix
+from ..inet.address import IPv4Address, IPv4Prefix
 from .asn import AsnRegistry, AutonomousSystem
 
 __all__ = ["GeoIPDatabase", "GeoIPRecord"]

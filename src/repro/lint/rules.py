@@ -2,7 +2,7 @@
 
 Determinism
 -----------
-``DET001``  wall-clock reads outside :mod:`repro.net.clock`
+``DET001``  wall-clock reads outside :mod:`repro.inet.clock`
 ``DET002``  global / unseeded randomness (module-level ``random.*``,
             ``os.urandom``, ``uuid.uuid4``, ``secrets``)
 ``DET003``  unordered ``set`` / ``dict.keys`` iteration feeding ordered
@@ -60,13 +60,13 @@ __all__ = [
 class WallClockRule(Rule):
     """DET001: wall-clock time must come from the simulated clock.
 
-    Any of these anywhere but ``net/clock.py`` silently couples a run's
+    Any of these anywhere but ``inet/clock.py`` silently couples a run's
     output to the machine it ran on.
     """
 
     rule_id = "DET001"
     description = (
-        "wall-clock call outside net/clock.py; read time from SimulatedClock"
+        "wall-clock call outside inet/clock.py; read time from SimulatedClock"
     )
     severity = Severity.ERROR
     interests = (ast.Call,)
@@ -88,11 +88,11 @@ class WallClockRule(Rule):
             "datetime.date.today",
         }
     )
-    _EXEMPT_SUFFIXES = ("net/clock.py", "inet/clock.py")
+    _EXEMPT_SUFFIX = "inet/clock.py"
 
     def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
         assert isinstance(node, ast.Call)
-        if ctx.path.endswith(self._EXEMPT_SUFFIXES):
+        if ctx.path.endswith(self._EXEMPT_SUFFIX):
             return
         resolved = ctx.resolve(node.func)
         if resolved in self._BANNED:

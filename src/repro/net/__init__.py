@@ -1,6 +1,14 @@
 """Simulated internetwork substrate: addresses, time, latency, delivery."""
 
-from .address import BlockAllocator, IPv4Address, IPv4Prefix, parse_ipv4
+from ..inet.address import BlockAllocator, IPv4Address, IPv4Prefix, parse_ipv4
+from ..inet.clock import (
+    SECONDS_PER_DAY,
+    SimulatedClock,
+    date_to_epoch,
+    days_in_year,
+    epoch_to_date,
+    year_bounds,
+)
 from .chaos import (
     PROFILES as CHAOS_PROFILES,
     ChaosDecision,
@@ -11,14 +19,6 @@ from .chaos import (
     OutageWindow,
     RateLimitRule,
     build_profile,
-)
-from .clock import (
-    SECONDS_PER_DAY,
-    SimulatedClock,
-    date_to_epoch,
-    days_in_year,
-    epoch_to_date,
-    year_bounds,
 )
 from .events import CampaignAborted, EventScheduler, PendingExchange
 from .latency import FixedLatency, LatencyModel, LogNormalLatency

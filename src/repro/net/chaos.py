@@ -51,7 +51,7 @@ from typing import (
     Union,
 )
 
-from .address import IPv4Address, IPv4Prefix
+from ..inet.address import IPv4Address, IPv4Prefix
 
 __all__ = [
     "ChaosDecision",

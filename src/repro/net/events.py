@@ -10,7 +10,7 @@ without giving up determinism:
 
 :class:`EventScheduler`
     A priority queue of ``(due_time, seq, action)`` events over a
-    :class:`~repro.net.clock.SimulatedClock`.  ``seq`` is a
+    :class:`~repro.inet.clock.SimulatedClock`.  ``seq`` is a
     monotonically increasing issue counter, so events due at the same
     instant always fire in the order they were scheduled — there is no
     tie-breaking ambiguity, and a run's event order is a pure function
@@ -35,8 +35,8 @@ import heapq
 import math
 from typing import Any, Callable, List, Optional, Tuple
 
-from .address import IPv4Address
-from .clock import SimulatedClock
+from ..inet.address import IPv4Address
+from ..inet.clock import SimulatedClock
 
 __all__ = ["CampaignAborted", "EventScheduler", "PendingExchange"]
 

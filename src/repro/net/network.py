@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from ..inet.transport import Host, NetworkError, QueryTimeout
-from .address import IPv4Address
+from ..inet.address import IPv4Address
 from .chaos import FaultSchedule
-from .clock import SimulatedClock
+from ..inet.clock import SimulatedClock
 from .events import EventScheduler, PendingExchange
 from .latency import FixedLatency, LatencyModel
 

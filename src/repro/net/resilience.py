@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from typing import Dict, Set, Tuple
 
 from ..inet.backoff import BackoffPolicy
-from .address import IPv4Address
-from .clock import SimulatedClock
+from ..inet.address import IPv4Address
+from ..inet.clock import SimulatedClock
 
 __all__ = [
     "BackoffPolicy",

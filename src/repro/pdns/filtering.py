@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..dns.name import DnsName
-from ..net.clock import SECONDS_PER_DAY
+from ..inet.clock import SECONDS_PER_DAY
 from ..registry.whois import ArchiveIndex
 from .record import PdnsRecord
 

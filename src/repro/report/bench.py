@@ -28,11 +28,15 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.epoch import EpochRunner
 from ..core.journal import dataset_digest
-from ..core.probe import ActiveProber, ProbeConfig
-from ..core.shard import ProcessCampaignRunner, government_suffixes
+from ..core.probe import ProbeConfig
+from ..core.shard import (
+    CampaignCounters,
+    ProcessCampaignRunner,
+    government_suffixes,
+    run_campaign,
+)
 from ..core.study import GovernmentDnsStudy
-from ..worldgen.config import WorldConfig
-from ..worldgen.generator import WorldGenerator
+from ..worldgen.churn import world_at_epoch
 from .perf import (
     PerfRecord,
     PerfReport,
@@ -109,9 +113,10 @@ def run_probe_record(
     phases: Dict[str, float] = {}
 
     mark = _now()
-    world = WorldGenerator(WorldConfig(seed=seed, scale=scale)).generate()
+    world = world_at_epoch(seed, scale)
     study = GovernmentDnsStudy(world, probe_config=config)
     targets = study.targets()
+    suffixes = government_suffixes(study.seeds().values())
     # The generated world is immutable and lives for the whole record:
     # move it to the GC's permanent generation so the cycle detector
     # never rescans it during the phases we are measuring (the
@@ -120,60 +125,33 @@ def run_probe_record(
     gc.freeze()
     phases["worldgen"] = _now() - mark
 
-    sim_start = world.clock.now
     base_network_queries = world.network.stats.queries_sent
     base_timeouts = world.network.stats.timeouts
+    if profiler is not None:
+        profiler.enable()
     if shard_count is not None:
+        # Collect and merge are timed apart, so the runner is driven
+        # here rather than through run_campaign.
         runner = ProcessCampaignRunner(
-            world,
-            targets,
-            config,
-            shards=shard_count,
-            suffixes=government_suffixes(study.seeds().values()),
+            world, targets, config, shards=shard_count, suffixes=suffixes
         )
-        if profiler is not None:
-            profiler.enable()
         mark = _now()
         collected = runner.collect()
         phases["probe"] = _now() - mark
         mark = _now()
         dataset = runner.merge(collected)
         phases["merge"] = _now() - mark
-        if profiler is not None:
-            profiler.disable()
-        study._dataset = dataset
-        queries_sent = sum(s.queries_sent for s in runner.shard_stats)
-        network_queries = base_network_queries + sum(
-            s.network_queries for s in runner.shard_stats
-        )
-        timeouts = base_timeouts + sum(
-            s.timeouts for s in runner.shard_stats
-        )
-        # Workers advance private clock copies; campaign duration in
-        # virtual time is the slowest shard's.
-        simulated = max(
-            (s.simulated_seconds for s in runner.shard_stats), default=0.0
-        )
+        counters = CampaignCounters.fold_shards(runner.shard_stats)
     else:
-        prober = ActiveProber(
-            world.network,
-            world.root_addresses,
-            world.probe_source,
-            config=config,
-        )
-        if profiler is not None:
-            profiler.enable()
         mark = _now()
-        dataset = prober.probe_all(targets)
+        dataset, counters = run_campaign(
+            world, targets, config, suffixes=suffixes
+        )
         phases["probe"] = _now() - mark
-        if profiler is not None:
-            profiler.disable()
         phases["merge"] = 0.0
-        study._dataset = dataset
-        queries_sent = prober.queries_sent
-        network_queries = world.network.stats.queries_sent
-        timeouts = world.network.stats.timeouts
-        simulated = world.clock.now - sim_start
+    if profiler is not None:
+        profiler.disable()
+    study._dataset = dataset
 
     # Same pattern for the finished dataset: it is read-only from here
     # on, so freeze it too — the analyses then run against an empty
@@ -209,11 +187,12 @@ def run_probe_record(
         # Campaign cost only (probe + merge): worldgen and analysis are
         # identical across configurations and would dilute the ratios.
         wall_seconds=round(phases["probe"] + phases["merge"], 3),
-        simulated_seconds=round(simulated, 3),
-        active_seconds=round(simulated - waits, 3),
-        queries_sent=queries_sent,
-        network_queries=network_queries,
-        timeouts=timeouts,
+        simulated_seconds=round(counters.simulated_seconds, 3),
+        active_seconds=round(counters.simulated_seconds - waits, 3),
+        queries_sent=counters.queries_sent,
+        # Network totals include seed selection's queries.
+        network_queries=base_network_queries + counters.network_queries,
+        timeouts=base_timeouts + counters.timeouts,
         responsive_domains=dataset.columns.responsive.count(1),
         dataset_digest=dataset_digest(dataset),
         shards=shard_count,
@@ -243,7 +222,7 @@ def run_longitudinal_record(
     phases: Dict[str, float] = {}
 
     mark = _now()
-    world = WorldGenerator(WorldConfig(seed=seed, scale=scale)).generate()
+    world = world_at_epoch(seed, scale)
     runner = EpochRunner(world, probe_config=config, incremental=incremental)
     gc.freeze()
     phases["worldgen"] = _now() - mark

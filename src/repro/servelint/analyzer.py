@@ -20,7 +20,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..dns.name import DnsName
 from ..lint.findings import Finding
-from ..net.address import IPv4Address
+from ..inet.address import IPv4Address
 from ..serve.service import DegradationState, ServeConfig
 from ..zonelint.analyzer import GroundTruth, ZoneLinter
 from .model import SurvivabilityModel, refresh_backoff_span

@@ -13,8 +13,7 @@ from pathlib import Path
 
 from ..lint.baseline import Baseline, BaselineMatch
 from ..lint.output import FORMATS, render_json, render_sarif, render_text
-from ..worldgen.config import WorldConfig
-from ..worldgen.generator import WorldGenerator
+from ..worldgen.churn import world_at_epoch
 from .analyzer import ServeLinter
 from .rules import SV_RULES
 from .verify import load_allowlist, oracle_json, render_oracle, verify_profile
@@ -88,9 +87,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 
 
 def run(args: argparse.Namespace, out) -> int:
-    world = WorldGenerator(
-        WorldConfig(seed=args.seed, scale=args.scale)
-    ).generate()
+    world = world_at_epoch(args.seed, args.scale)
     linter = ServeLinter.for_world(
         world, seed=args.seed, duration=args.duration
     )

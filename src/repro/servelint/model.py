@@ -36,7 +36,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 from ..dns.message import Message, Rcode
 from ..dns.name import DnsName
 from ..dns.rdata import A, RRType
-from ..net.address import IPv4Address
+from ..inet.address import IPv4Address
 from ..net.chaos import FaultSchedule, build_profile
 from ..serve.service import DegradationState, ServeConfig
 from ..zonelint.analyzer import GroundTruth

@@ -43,8 +43,7 @@ from ..serve.workload import (
     WorkloadConfig,
     targets_from_world,
 )
-from ..worldgen.config import WorldConfig
-from ..worldgen.generator import WorldGenerator
+from ..worldgen.churn import world_at_epoch
 from ..zonelint.graph import ZoneGraph
 from .model import IDLE_PROFILE, KINDS, SurvivabilityModel
 
@@ -132,7 +131,7 @@ def verify_profile(
     model with the *observed* serve span so fault windows the run
     outlived downgrade from deterministic to merely maskable.
     """
-    world = WorldGenerator(WorldConfig(seed=seed, scale=scale)).generate()
+    world = world_at_epoch(seed, scale)
     service = RecursiveService(
         world.network,
         world.root_addresses,

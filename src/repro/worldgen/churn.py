@@ -46,7 +46,8 @@ from ..dns.zone import Zone
 from ..inet.address import IPv4Address, IPv4Prefix
 from .deployment import NsHost
 from .faults import Consistency, FaultPlan
-from .generator import DomainTruth, TargetStatus, World
+from .config import WorldConfig
+from .generator import DomainTruth, TargetStatus, World, WorldGenerator
 from .history import STYLE_PRIVATE, STYLE_PROVIDER
 from .providers import NsLayout
 
@@ -484,13 +485,12 @@ def advance_world(world: World, epoch: int) -> ChurnPlan:
     return plan
 
 
-def world_at_epoch(seed: int, scale: float, epoch: int) -> World:
-    """A from-scratch world advanced to epoch *k* — the reference the
-    incremental layer's ``as_of`` digests are certified against."""
-    from .config import WorldConfig
-    from .generator import WorldGenerator
-
+def world_at_epoch(seed: int, scale: float, epoch: int = 0) -> World:
+    """The (seed, scale) world advanced to epoch *k*: the one world
+    constructor every pipeline calls (epoch 0 is the generated world),
+    and the reference the incremental layer's ``as_of`` digests are
+    certified against."""
     world = WorldGenerator(WorldConfig(seed=seed, scale=scale)).generate()
     for step in range(1, epoch + 1):
-        apply_churn_plan(world, build_churn_plan(world, step))
+        advance_world(world, step)
     return world

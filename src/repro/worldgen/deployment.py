@@ -24,7 +24,7 @@ from ..dns.server import AuthoritativeServer, MissBehavior
 from ..dns.zone import Zone
 from ..geo.asn import AutonomousSystem
 from ..geo.geoip import GeoIPDatabase
-from ..net.address import BlockAllocator, IPv4Address, IPv4Prefix
+from ..inet.address import BlockAllocator, IPv4Address, IPv4Prefix
 from ..net.network import Network
 from .providers import NsLayout, ProviderSpec
 

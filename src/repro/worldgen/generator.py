@@ -33,8 +33,8 @@ from ..dns.server import AuthoritativeServer, MissBehavior
 from ..dns.zone import Zone
 from ..geo.asn import AsnRegistry, AutonomousSystem
 from ..geo.geoip import GeoIPDatabase
-from ..net.address import BlockAllocator, IPv4Address, IPv4Prefix
-from ..net.clock import SimulatedClock, date_to_epoch
+from ..inet.address import BlockAllocator, IPv4Address, IPv4Prefix
+from ..inet.clock import SimulatedClock, date_to_epoch
 from ..net.latency import FixedLatency
 from ..net.network import Network
 from ..pdns.database import PdnsDatabase

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dns.name import DnsName
 from ..dns.rdata import RRType
-from ..net.clock import SECONDS_PER_DAY, date_to_epoch
+from ..inet.clock import SECONDS_PER_DAY, date_to_epoch
 from ..pdns.database import PdnsDatabase
 from .config import YEARS, WorldConfig
 from .countries import CountryProfile

@@ -16,7 +16,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..dns.name import DnsName
 from ..lint.findings import Finding
-from ..net.address import IPv4Address
+from ..inet.address import IPv4Address
 from .graph import ZoneGraph
 from .smells import (
     CONSISTENCY_RULE_IDS,

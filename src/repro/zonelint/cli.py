@@ -12,8 +12,7 @@ import argparse
 
 from ..lint.baseline import BaselineMatch
 from ..lint.output import FORMATS, render_json, render_sarif, render_text
-from ..worldgen.config import WorldConfig
-from ..worldgen.generator import WorldGenerator
+from ..worldgen.churn import world_at_epoch
 from .analyzer import ZoneLinter
 from .smells import ZL_RULES
 from .verify import verify_world
@@ -41,9 +40,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 
 
 def run(args: argparse.Namespace, out) -> int:
-    world = WorldGenerator(
-        WorldConfig(seed=args.seed, scale=args.scale)
-    ).generate()
+    world = world_at_epoch(args.seed, args.scale)
     linter = ZoneLinter.for_world(world)
     targets = {
         name: truth.iso2 for name, truth in world.truths.items()

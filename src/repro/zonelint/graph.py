@@ -27,7 +27,7 @@ from ..dns.name import DnsName
 from ..dns.rdata import A, NS, RRType, SOA
 from ..dns.server import AuthoritativeServer
 from ..dns.zone import Zone
-from ..net.address import IPv4Address
+from ..inet.address import IPv4Address
 from ..net.network import Network
 from .smells import StaticOutcome, StaticStatus
 

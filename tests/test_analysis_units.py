@@ -17,7 +17,7 @@ from repro.core.diversity import DiversityAnalysis
 from repro.dns import DnsName
 from repro.geo.asn import AsnRegistry
 from repro.geo.geoip import GeoIPDatabase
-from repro.net.address import IPv4Address, IPv4Prefix
+from repro.inet.address import IPv4Address, IPv4Prefix
 
 N = DnsName.parse
 IP = IPv4Address.parse

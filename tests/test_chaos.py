@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.net.address import IPv4Address, IPv4Prefix
+from repro.inet.address import IPv4Address, IPv4Prefix
 from repro.net.chaos import (
     PROFILES,
     FaultSchedule,
@@ -23,7 +23,7 @@ from repro.net.chaos import (
     RateLimitRule,
     build_profile,
 )
-from repro.net.clock import SimulatedClock
+from repro.inet.clock import SimulatedClock
 from repro.net.latency import FixedLatency, LogNormalLatency
 from repro.net.network import FunctionHost, Network, QueryTimeout
 

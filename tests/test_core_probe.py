@@ -11,7 +11,7 @@ from repro.core.dataset import (
 )
 from repro.core.probe import ActiveProber, ProbeConfig
 from repro.dns import DnsName
-from repro.net.address import IPv4Address
+from repro.inet.address import IPv4Address
 from repro.worldgen.generator import TargetStatus
 
 N = DnsName.parse

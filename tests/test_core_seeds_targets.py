@@ -6,7 +6,7 @@ from repro.core.seeds import SeedSelector
 from repro.core.study import GovernmentDnsStudy
 from repro.core.targets import TargetListBuilder, looks_disposable
 from repro.dns import DnsName, Resolver, ResolverCache, RRType
-from repro.net.clock import date_to_epoch
+from repro.inet.clock import date_to_epoch
 from repro.pdns.database import PdnsDatabase
 from repro.worldgen.countries import (
     AD_PARKED_PORTAL_ISO2,
@@ -124,7 +124,7 @@ class TestTargetExpansion:
         # A long-dead domain only enters the target list if PDNS caught
         # a transient (sub-7-day) record for it inside the window — the
         # same way stray records would pollute the paper's raw list.
-        from repro.net.clock import SECONDS_PER_DAY
+        from repro.inet.clock import SECONDS_PER_DAY
         from repro.worldgen.history import WINDOW_START
 
         targets = study.targets()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.probe import ProbeConfig
 from repro.core.vantage import MultiVantageProber
-from repro.net.address import IPv4Address
+from repro.inet.address import IPv4Address
 
 IP = IPv4Address.parse
 

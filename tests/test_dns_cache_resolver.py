@@ -8,8 +8,8 @@ from repro.dns.rdata import NS, RRType, A
 from repro.dns.rrset import RRset
 from repro.dns.resolver import Resolver
 from repro.dns.server import MissBehavior
-from repro.net.address import IPv4Address
-from repro.net.clock import SimulatedClock
+from repro.inet.address import IPv4Address
+from repro.inet.clock import SimulatedClock
 
 N = DnsName.parse
 IP = IPv4Address.parse

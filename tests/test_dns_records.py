@@ -6,7 +6,7 @@ from repro.dns.message import Message, Question, Rcode, make_query, make_respons
 from repro.dns.name import ROOT, DnsName
 from repro.dns.rdata import AAAA, CNAME, MX, NS, PTR, RRType, SOA, TXT, A
 from repro.dns.rrset import RRset
-from repro.net.address import IPv4Address
+from repro.inet.address import IPv4Address
 
 N = DnsName.parse
 IP = IPv4Address.parse

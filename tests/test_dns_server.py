@@ -7,7 +7,7 @@ from repro.dns.name import DnsName
 from repro.dns.rdata import CNAME, NS, RRType, SOA, A
 from repro.dns.server import AuthoritativeServer, MissBehavior, ParkingServer
 from repro.dns.zone import Zone
-from repro.net.address import IPv4Address
+from repro.inet.address import IPv4Address
 
 N = DnsName.parse
 IP = IPv4Address.parse

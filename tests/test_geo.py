@@ -13,7 +13,7 @@ from repro.geo.regions import (
     country_by_iso2,
     paper_groups,
 )
-from repro.net.address import BlockAllocator, IPv4Address, IPv4Prefix
+from repro.inet.address import BlockAllocator, IPv4Address, IPv4Prefix
 
 IP = IPv4Address.parse
 

@@ -48,9 +48,16 @@ class TestDET001WallClock:
     def test_clock_module_is_exempt(self):
         ids = rule_ids(
             "import time\nnow = time.time()\n",
-            path="src/repro/net/clock.py",
+            path="src/repro/inet/clock.py",
         )
         assert ids == []
+
+    def test_former_net_clock_path_is_not_exempt(self):
+        ids = rule_ids(
+            "import time\nnow = time.time()\n",
+            path="src/repro/net/clock.py",
+        )
+        assert ids == ["DET001"]
 
     def test_simulated_clock_usage_is_clean(self):
         assert rule_ids("def f(clock):\n    return clock.now\n") == []

@@ -502,16 +502,29 @@ class TestLongitudinalCli:
         assert code == 2
         assert "mutually exclusive" in out.getvalue()
 
+    @pytest.mark.parametrize("shards", ["0", "-2"])
+    def test_nonpositive_shards_rejected(self, shards):
+        out = io.StringIO()
+        code = main(["longitudinal", "--shards", shards], out)
+        assert code == 2
+        assert "--shards must be >= 1" in out.getvalue()
+
+    def test_shards_accepts_integers_only(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["longitudinal", "--shards", "auto"], io.StringIO())
+        assert exit_info.value.code == 2
+
 
 # ----------------------------------------------------------------------
 # The headline property: as_of(k) == full campaign at epoch k, any K
 # ----------------------------------------------------------------------
 class TestLongitudinalInvariance:
-    """ISSUE 10 acceptance: seeds {5, 7, 11} × epochs 0..3 × K ∈ {1, 4}."""
+    """Seeds {5, 7, 11} × epochs 0..3 × {inline, K=1, K=4} runners."""
 
     SCALE = 0.01
     SEEDS = (5, 7, 11)
-    SHARD_COUNTS = (1, 4)
+    # None is the inline incremental runner; integers use the process runner.
+    SHARD_COUNTS = (None, 1, 4)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_as_of_digest_matches_full_campaign(self, seed):
@@ -520,10 +533,7 @@ class TestLongitudinalInvariance:
             for epoch in range(EPOCHS + 1)
         }
         for shards in self.SHARD_COUNTS:
-            runner = EpochRunner(
-                fresh_world(seed, self.SCALE),
-                shards=None if shards == 1 else shards,
-            )
+            runner = EpochRunner(fresh_world(seed, self.SCALE), shards=shards)
             runner.run(EPOCHS)
             for epoch in range(EPOCHS + 1):
                 assert (

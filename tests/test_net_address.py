@@ -1,9 +1,9 @@
-"""Tests for repro.net.address."""
+"""Tests for repro.inet.address."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.net.address import BlockAllocator, IPv4Address, IPv4Prefix, parse_ipv4
+from repro.inet.address import BlockAllocator, IPv4Address, IPv4Prefix, parse_ipv4
 
 
 class TestParsing:

@@ -1,10 +1,10 @@
-"""Tests for repro.net.clock."""
+"""Tests for repro.inet.clock."""
 
 import datetime
 
 import pytest
 
-from repro.net.clock import (
+from repro.inet.clock import (
     SECONDS_PER_DAY,
     SimulatedClock,
     date_to_epoch,

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from repro.net.address import IPv4Address
-from repro.net.clock import SimulatedClock
+from repro.inet.address import IPv4Address
+from repro.inet.clock import SimulatedClock
 from repro.net.latency import FixedLatency, LogNormalLatency
 from repro.net.network import FunctionHost, Network, QueryTimeout
 

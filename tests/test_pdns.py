@@ -7,8 +7,8 @@ from repro.dns.name import DnsName
 from repro.dns.rdata import NS, RRType, A
 from repro.dns.rrset import RRset
 from repro.dns.zone import Zone
-from repro.net.address import IPv4Address
-from repro.net.clock import SECONDS_PER_DAY, date_to_epoch
+from repro.inet.address import IPv4Address
+from repro.inet.clock import SECONDS_PER_DAY, date_to_epoch
 from repro.pdns.database import PdnsDatabase
 from repro.pdns.filtering import (
     STABILITY_THRESHOLD_DAYS,

@@ -15,7 +15,7 @@ from repro.dns import (
     SOA,
     Zone,
 )
-from repro.net.address import IPv4Address
+from repro.inet.address import IPv4Address
 
 N = DnsName.parse
 IP = IPv4Address.parse

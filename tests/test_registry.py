@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.dns.name import DnsName
-from repro.net.clock import date_to_epoch
+from repro.inet.clock import date_to_epoch
 from repro.registry.registrar import PriceModel, Registrar
 from repro.registry.tld import SuffixPolicy, TldPolicy, TldRegistry
 from repro.registry.whois import ArchiveIndex, WhoisDatabase, WhoisRecord

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dns import DnsName, NS, RRType, SOA, A, Zone
-from repro.net.address import IPv4Address
+from repro.inet.address import IPv4Address
 from repro.remedies.csync import CsyncProcessor, CsyncRecord
 from repro.remedies.epp import EppServer
 

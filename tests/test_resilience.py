@@ -29,7 +29,7 @@ from repro.dns import (
     make_response,
 )
 from repro.net import IPv4Address, Network
-from repro.net.clock import SimulatedClock
+from repro.inet.clock import SimulatedClock
 from repro.net.network import FunctionHost
 from repro.net.resilience import (
     BackoffPolicy,

@@ -12,12 +12,14 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import multiprocessing
 import random
 
 import pytest
 
 from repro.cli import main
 from repro.core.dataset import MeasurementDataset
+from repro.core.epoch import EpochRunner
 from repro.core.journal import (
     CampaignJournal,
     campaign_digest,
@@ -28,15 +30,18 @@ from repro.core.journal import (
 )
 from repro.core.probe import ProbeConfig
 from repro.core.shard import (
+    CampaignCounters,
     ProcessCampaignRunner,
     government_suffixes,
     partition,
+    run_campaign,
     shard_index,
     shard_key,
 )
 from repro.core.study import GovernmentDnsStudy
 from repro.dns.name import DnsName
 from repro.net.events import CampaignAborted
+from repro.serve.profiles import install_chaos_profile
 from repro.worldgen import WorldConfig, WorldGenerator
 
 
@@ -269,6 +274,97 @@ class TestProcessCampaignRunner:
         assert entry["campaign"] == campaign_digest(
             dict(runner._targets), ProbeConfig().identity(), None
         )
+
+
+# ----------------------------------------------------------------------
+# The spawn start method: workers rebuild what fork would inherit
+# ----------------------------------------------------------------------
+def force_spawn(monkeypatch):
+    monkeypatch.setattr(
+        ProcessCampaignRunner,
+        "_context",
+        lambda self: multiprocessing.get_context("spawn"),
+    )
+
+
+class TestSpawnStartMethod:
+    """Spawned workers regenerate the world, re-derive the targets,
+    re-arm chaos and keep the parent's target subset; every digest must
+    match what forked workers produce."""
+
+    SEED = 7
+    SCALE = 0.004
+
+    def campaign_digest(self, chaos=None, every=1):
+        study = fresh_study(self.SEED, self.SCALE)
+        targets = dict(sorted(study.targets().items())[::every])
+        if chaos is not None:
+            install_chaos_profile(study.world.network, chaos, seed=self.SEED)
+        dataset, counters = run_campaign(
+            study.world,
+            targets,
+            ProbeConfig(),
+            shards=2,
+            suffixes=government_suffixes(study.seeds().values()),
+        )
+        assert len(dataset) == counters.targets == len(targets)
+        return dataset_digest(dataset)
+
+    def test_full_campaign_matches_inline(self, monkeypatch):
+        inline = dataset_digest(fresh_study(self.SEED, self.SCALE).dataset())
+        force_spawn(monkeypatch)
+        assert self.campaign_digest() == inline
+
+    def test_chaos_campaign_matches_fork(self, monkeypatch):
+        forked = self.campaign_digest(chaos="mixed")
+        force_spawn(monkeypatch)
+        assert self.campaign_digest(chaos="mixed") == forked
+
+    def test_target_subset_matches_fork(self, monkeypatch):
+        forked = self.campaign_digest(every=3)
+        force_spawn(monkeypatch)
+        assert self.campaign_digest(every=3) == forked
+
+    def test_epochs_match_fork(self, monkeypatch):
+        def epoch_digests():
+            world = WorldGenerator(
+                WorldConfig(seed=self.SEED, scale=self.SCALE)
+            ).generate()
+            runner = EpochRunner(world, shards=2)
+            return [stats.epoch_digest for stats in runner.run(2)]
+
+        forked = epoch_digests()
+        force_spawn(monkeypatch)
+        assert epoch_digests() == forked
+
+
+class TestCampaignCounters:
+    def test_sequential_probes_sum(self):
+        total = CampaignCounters(targets=2, queries_sent=5, simulated_seconds=1.5)
+        total += CampaignCounters(targets=1, timeouts=2, simulated_seconds=2.0)
+        assert total == CampaignCounters(
+            targets=3, queries_sent=5, timeouts=2, simulated_seconds=3.5
+        )
+
+    def test_shard_fold_sums_counts_and_takes_slowest_clock(self):
+        parts = [
+            CampaignCounters(targets=2, network_queries=7, simulated_seconds=4.0),
+            CampaignCounters(targets=3, network_queries=1, simulated_seconds=9.0),
+        ]
+        folded = CampaignCounters.fold_shards(parts)
+        assert folded == CampaignCounters(
+            targets=5, network_queries=8, simulated_seconds=9.0
+        )
+        assert folded.per_shard == tuple(parts)
+        assert CampaignCounters.fold_shards([]) == CampaignCounters()
+
+    def test_sum_drops_the_shard_breakdown(self):
+        folded = CampaignCounters.fold_shards(
+            [CampaignCounters(targets=1), CampaignCounters(targets=2)]
+        )
+        folded += CampaignCounters(targets=4)
+        assert folded.targets == 7
+        assert folded.per_shard == ()
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,8 @@ from repro.dns.cache import ResolverCache, TtlExpiry
 from repro.dns.name import DnsName
 from repro.dns.rdata import RRType, A
 from repro.dns.rrset import RRset
-from repro.net.address import IPv4Address
-from repro.net.clock import SimulatedClock
+from repro.inet.address import IPv4Address
+from repro.inet.clock import SimulatedClock
 
 N = DnsName.parse
 IP = IPv4Address.parse

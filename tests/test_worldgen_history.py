@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dns.rdata import RRType
-from repro.net.clock import SECONDS_PER_DAY
+from repro.inet.clock import SECONDS_PER_DAY
 from repro.pdns.database import PdnsDatabase
 from repro.pdns.filtering import stable_records
 from repro.worldgen.config import YEARS, WorldConfig

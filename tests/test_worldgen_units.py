@@ -8,7 +8,7 @@ import pytest
 from repro.dns.name import DnsName
 from repro.geo.asn import AsnRegistry
 from repro.geo.geoip import GeoIPDatabase
-from repro.net.address import BlockAllocator, IPv4Prefix
+from repro.inet.address import BlockAllocator, IPv4Prefix
 from repro.net.network import Network
 from repro.worldgen.config import WorldConfig
 from repro.worldgen.countries import TOP10_ISO2, build_profiles
