@@ -39,7 +39,6 @@ from ..dns.name import DnsName
 from ..pdns.change import ChangeSensor, CountryFeed, SensorNoise
 from ..worldgen.churn import ChurnPlan, advance_world
 from .dataset import MeasurementDataset
-from .journal import result_to_dict
 from .longitudinal import LongitudinalDataset
 from .probe import ProbeConfig
 from .shard import CampaignCounters, government_suffixes, run_campaign
@@ -300,9 +299,7 @@ class EpochRunner:
                 iso2 = self._targets[domain]
                 if iso2 in dead_set:
                     continue  # cohort already fully re-probed
-                fresh = dataset.results[domain]
-                stored = self._dataset.latest(domain)
-                if result_to_dict(fresh) != result_to_dict(stored):
+                if not self._dataset.matches(domain, dataset.results[domain]):
                     # The sensor reported healthy volume for this
                     # cohort yet missed a real change: nothing else it
                     # said about the cohort can be trusted this epoch.

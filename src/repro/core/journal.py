@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..dns.name import DnsName, parse_cached
 from ..inet.address import IPv4Address
@@ -81,7 +81,9 @@ __all__ = [
     "JOURNAL_VERSION",
     "campaign_digest",
     "dataset_digest",
+    "digest_rows",
     "result_from_dict",
+    "result_row",
     "result_to_dict",
     "read_shard_manifest",
     "shard_journal_path",
@@ -185,18 +187,40 @@ def result_from_dict(data: Mapping[str, Any]) -> ProbeResult:
     )
 
 
+def result_row(result: ProbeResult) -> bytes:
+    """One result's canonical row: the compact sorted-keys JSON of
+    :func:`result_to_dict`.  Digests are computed over these rows."""
+    return json.dumps(
+        result_to_dict(result), sort_keys=True, separators=(",", ":")
+    ).encode()
+
+
+def digest_rows(rows: Iterable[bytes]) -> str:
+    """sha256 of the JSON array of ``rows``, fed one row at a time.
+
+    The bytes hashed are exactly ``json.dumps`` of the list of row
+    dicts (``[`` + rows joined by ``,`` + ``]``), without ever holding
+    that list or the joined blob in memory.
+    """
+    digest = hashlib.sha256(b"[")
+    separator = b""
+    for row in rows:
+        digest.update(separator)
+        digest.update(row)
+        separator = b","
+    digest.update(b"]")
+    return digest.hexdigest()
+
+
 def dataset_digest(dataset: MeasurementDataset) -> str:
     """sha256 over the canonical serialization of every result.
 
     This is the byte-identity yardstick the resume contract (and the CI
     chaos-smoke job) is stated in.
     """
-    blob = json.dumps(
-        [result_to_dict(r) for _, r in sorted(dataset.results.items())],
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return digest_rows(
+        result_row(r) for _, r in sorted(dataset.results.items())
+    )
 
 
 def campaign_digest(

@@ -18,6 +18,13 @@ plausibly changed.  This module is the storage layer for that loop:
 * **Digest chain.**  Every epoch is stamped with the full-dataset
   digest of its materialization *and* a chain digest binding the delta
   history, so any replay divergence is pinpointed to its first epoch.
+* **Rows serialized once.**  The dataset keeps each domain's current
+  canonical row (:func:`~repro.core.journal.result_row`).  An epoch
+  serializes only its probed results, compares them byte-for-byte
+  against the stored rows, and streams the epoch digest over the stored
+  rows in the fixed universe order.  Rows are captured when a result is
+  appended, so mutating a :class:`ProbeResult` afterwards does not
+  change later digests — results are treated as frozen.
 
 The headline contract — property-tested across seeds × epochs × shard
 counts — is that ``as_of(k)``'s digest is byte-identical to a
@@ -27,24 +34,14 @@ from-scratch full campaign against epoch *k*'s world.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..dns.name import DnsName
 from .dataset import DatasetColumns, MeasurementDataset, ProbeResult
-from .journal import dataset_digest, result_to_dict
+from .journal import digest_rows, result_row
 
 __all__ = ["EpochDelta", "LongitudinalDataset"]
-
-
-def _delta_blob_digest(changed: Dict[DnsName, ProbeResult]) -> str:
-    blob = json.dumps(
-        [result_to_dict(r) for _, r in sorted(changed.items())],
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode()
-    return hashlib.sha256(blob).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -70,8 +67,13 @@ class LongitudinalDataset:
         self._base_results: Dict[DnsName, ProbeResult] = dict(base.results)
         self._latest: Dict[DnsName, ProbeResult] = dict(base.results)
         self._origin: Dict[DnsName, int] = {d: 0 for d in base.results}
+        # Each domain's current canonical row, and the digest order.
+        self._rows: Dict[DnsName, bytes] = {
+            d: result_row(r) for d, r in base.results.items()
+        }
+        self._order: Tuple[DnsName, ...] = tuple(sorted(base.results))
         self._deltas: List[EpochDelta] = []
-        base_digest = dataset_digest(base)
+        base_digest = self._current_digest()
         self._digests: List[str] = [base_digest]
         self._chain: List[str] = [
             hashlib.sha256(f"epoch 0:{base_digest}".encode()).hexdigest()
@@ -107,6 +109,10 @@ class LongitudinalDataset:
         """The epoch whose probe produced the domain's current row."""
         return self._origin[domain]
 
+    def matches(self, domain: DnsName, result: ProbeResult) -> bool:
+        """Does ``result`` serialize to the domain's current row?"""
+        return result_row(result) == self._rows[domain]
+
     def epoch_digest(self, epoch: int) -> str:
         if not 0 <= epoch < self.epochs:
             raise IndexError(f"no digest for epoch {epoch}")
@@ -133,34 +139,41 @@ class LongitudinalDataset:
         contract is a fixed universe.
         """
         epoch = self.epochs
+        outside = sorted(d for d in probed if d not in self._rows)
+        if outside:
+            # Checked before any state moves: a rejected batch leaves
+            # the chain exactly as it was.
+            raise ValueError(
+                f"epoch {epoch}: domain {outside[0]} is not in the base "
+                "universe; longitudinal campaigns have a fixed "
+                "target list"
+            )
         changed: Dict[DnsName, ProbeResult] = {}
+        changed_rows: List[bytes] = []
         responsive_changed: List[DnsName] = []
-        for domain in sorted(probed):
-            previous = self._latest.get(domain)
-            if previous is None:
-                raise ValueError(
-                    f"epoch {epoch}: domain {domain} is not in the base "
-                    "universe; longitudinal campaigns have a fixed "
-                    "target list"
-                )
+        order = tuple(sorted(probed))
+        for domain in order:
             result = probed[domain]
-            if result_to_dict(result) == result_to_dict(previous):
+            row = result_row(result)
+            if row == self._rows[domain]:
                 continue
             changed[domain] = result
-            if result.responsive != previous.responsive:
+            changed_rows.append(row)
+            if result.responsive != self._latest[domain].responsive:
                 responsive_changed.append(domain)
             self._latest[domain] = result
+            self._rows[domain] = row
             self._origin[domain] = epoch
 
-        epoch_digest = dataset_digest(MeasurementDataset(self._latest))
+        epoch_digest = self._current_digest()
         chain = hashlib.sha256(
             f"{self._chain[-1]}:epoch {epoch}:{epoch_digest}:"
-            f"{_delta_blob_digest(changed)}".encode()
+            f"{digest_rows(changed_rows)}".encode()
         ).hexdigest()
         delta = EpochDelta(
             epoch=epoch,
             changed=changed,
-            probed=tuple(sorted(probed)),
+            probed=order,
             responsive_changed=tuple(responsive_changed),
             epoch_digest=epoch_digest,
             chain_digest=chain,
@@ -169,6 +182,10 @@ class LongitudinalDataset:
         self._digests.append(epoch_digest)
         self._chain.append(chain)
         return delta
+
+    def _current_digest(self) -> str:
+        """The dataset digest of the current rows, in universe order."""
+        return digest_rows(self._rows[d] for d in self._order)
 
     # ------------------------------------------------------------------
     # Materialization

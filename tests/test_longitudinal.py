@@ -12,6 +12,7 @@ rests on.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 
 import pytest
@@ -20,6 +21,7 @@ from repro.cli import main
 from repro.core.dataset import DatasetColumns, MeasurementDataset
 from repro.core.epoch import EpochRunner
 from repro.core.journal import dataset_digest, result_to_dict
+from repro.core.longitudinal import LongitudinalDataset
 from repro.core.probe import ActiveProber
 from repro.core.study import GovernmentDnsStudy
 from repro.dns.name import DnsName
@@ -29,6 +31,11 @@ from repro.worldgen import WorldConfig, WorldGenerator
 from repro.worldgen.churn import build_churn_plan, world_at_epoch
 
 from tests.conftest import TEST_SCALE, TEST_SEED
+from tests.digest_reference import (
+    base_chain_digest,
+    next_chain_digest,
+    one_blob_digest,
+)
 
 
 def fresh_world(seed=TEST_SEED, scale=TEST_SCALE):
@@ -212,6 +219,28 @@ class TestCarryForward:
         with pytest.raises(ValueError, match="not in the base universe"):
             dataset.append_epoch({alien: sample})
 
+    def test_rejected_batch_leaves_the_chain_untouched(self, dataset):
+        # One genuinely changed real domain, plus an alien that sorts
+        # after it: the real row must not be folded in before the
+        # alien is refused.
+        chain = LongitudinalDataset(dataset)
+        real = min(dataset.results)
+        alien = DnsName.parse("zz-not-a-target.example.")
+        assert real < alien
+        original = chain.latest(real)
+        changed = dataclasses.replace(
+            original, queries_sent=original.queries_sent + 1
+        )
+        with pytest.raises(ValueError, match="not in the base universe"):
+            chain.append_epoch({real: changed, alien: changed})
+        assert chain.epochs == 1
+        assert chain.latest(real) is original
+        assert chain.origin_epoch(real) == 0
+        delta = chain.append_epoch({real: original})
+        assert not delta.changed
+        assert delta.epoch_digest == chain.epoch_digest(0)
+        assert delta.epoch_digest == dataset_digest(dataset)
+
 
 # ----------------------------------------------------------------------
 # Copy-on-write columns
@@ -271,11 +300,43 @@ class TestDigestChain:
                 epoch
             ) == runner.dataset.chain_digest(epoch)
 
+    def test_rows_are_captured_at_append(self, dataset):
+        # Mutating a result after it was appended does not reach later
+        # digests: the chain hashes the row it stored.
+        base = MeasurementDataset(
+            {d: dataclasses.replace(r) for d, r in dataset.results.items()}
+        )
+        chain = LongitudinalDataset(base)
+        victim = base.results[min(base.results)]
+        victim.queries_sent += 1
+        delta = chain.append_epoch({})
+        assert delta.epoch_digest == dataset_digest(dataset)
+
     def test_out_of_range_epochs_raise(self, runner):
         with pytest.raises(IndexError):
             runner.dataset.epoch_digest(EPOCHS + 1)
         with pytest.raises(IndexError):
             runner.dataset.delta(0)
+
+
+class TestDigestChainReference:
+    """Every epoch's digests against the one-blob reference formulas."""
+
+    @pytest.mark.parametrize("seed", (TEST_SEED, 11))
+    def test_epoch_and_chain_digests_match_reference(self, seed):
+        runner = EpochRunner(fresh_world(seed))
+        runner.run(EPOCHS)
+        dataset = runner.dataset
+        chain = base_chain_digest(one_blob_digest(dataset.results_at(0)))
+        assert dataset.chain_digest(0) == chain
+        for epoch in range(EPOCHS + 1):
+            reference = one_blob_digest(dataset.as_of(epoch).results)
+            assert dataset.epoch_digest(epoch) == reference, epoch
+            if epoch:
+                chain = next_chain_digest(
+                    chain, epoch, reference, dataset.delta(epoch).changed
+                )
+                assert dataset.chain_digest(epoch) == chain, epoch
 
 
 # ----------------------------------------------------------------------

@@ -6,17 +6,27 @@ properties the analyses silently rely on.
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.core.dataset import (
+    MeasurementDataset,
+    ParentStatus,
+    ProbeResult,
+    ServerOutcome,
+    ServerProbe,
+)
+from repro.core.journal import dataset_digest
 from repro.core.replication import PdnsReplicationAnalysis
 from repro.core.seeds import Seed
 from repro.dns.name import DnsName
 from repro.dns.rdata import NS, RRType
 from repro.dns.rrset import RRset
 from repro.dns.zone import LookupStatus, Zone
+from repro.inet.address import IPv4Address
 from repro.inet.clock import SECONDS_PER_DAY, year_bounds
 from repro.pdns.database import PdnsDatabase
 from repro.registry.registrar import PriceModel
+from tests.digest_reference import one_blob_digest
 from tests.ns_daily_reference import (
     daily_count_durations,
     mode_of_daily_counts,
@@ -247,3 +257,68 @@ class TestRRsetProperties:
         a = RRset(owner, RRType.NS, 300, tuple(rdatas))
         b = RRset(owner, RRType.NS, 300, tuple(shuffled))
         assert a == b and hash(a) == hash(b)
+
+
+# Generated probe results for the streamed dataset digest.  ``iso2`` is
+# free text so non-ASCII escaping is exercised; outcome maps key on
+# addresses so their sorted serialization is too.
+ADDRESS = st.integers(min_value=0, max_value=0xFFFFFFFF).map(IPv4Address)
+OUTCOME = st.sampled_from(
+    (
+        ServerOutcome.ANSWER,
+        ServerOutcome.NODATA,
+        ServerOutcome.REFUSED,
+        ServerOutcome.TIMEOUT,
+        ServerOutcome.BREAKER_OPEN,
+    )
+)
+SERVER = st.builds(
+    ServerProbe,
+    hostname=NAME,
+    resolvable=st.booleans(),
+    addresses=st.lists(ADDRESS, max_size=3).map(tuple),
+    outcomes=st.dictionaries(ADDRESS, OUTCOME, max_size=3),
+    ns_by_address=st.dictionaries(
+        ADDRESS, st.lists(NAME, max_size=2).map(tuple), max_size=2
+    ),
+    prior_outcomes=st.dictionaries(ADDRESS, OUTCOME, max_size=2),
+)
+PROBE_RESULT = st.builds(
+    ProbeResult,
+    domain=NAME,
+    iso2=st.text(max_size=3),
+    parent_status=st.sampled_from(
+        (
+            ParentStatus.REFERRAL,
+            ParentStatus.ANSWER,
+            ParentStatus.EMPTY,
+            ParentStatus.NO_RESPONSE,
+        )
+    ),
+    parent_ns=st.lists(NAME, max_size=3).map(tuple),
+    child_ns=st.lists(NAME, max_size=3).map(tuple),
+    servers=st.lists(SERVER, max_size=3).map(
+        lambda servers: {server.hostname: server for server in servers}
+    ),
+    queries_sent=st.integers(min_value=0, max_value=10_000),
+    retried=st.booleans(),
+)
+
+
+class TestStreamedDatasetDigest:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(PROBE_RESULT, max_size=6, unique_by=lambda r: r.domain))
+    @example([])
+    def test_streamed_digest_equals_one_blob(self, results):
+        by_domain = {result.domain: result for result in results}
+        assert dataset_digest(MeasurementDataset(by_domain)) == (
+            one_blob_digest(by_domain)
+        )
+
+    @settings(deadline=None)
+    @given(PROBE_RESULT)
+    def test_single_row_digest_equals_one_blob(self, result):
+        by_domain = {result.domain: result}
+        assert dataset_digest(MeasurementDataset(by_domain)) == (
+            one_blob_digest(by_domain)
+        )
