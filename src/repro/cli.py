@@ -595,14 +595,9 @@ def _shard_count(value, out) -> Tuple[Optional[int], Optional[int]]:
 
 def _cmd_serve(args: argparse.Namespace, out) -> int:
     from .report.serving import ServingReport
-    from .serve.profiles import install_chaos_profile
-    from .serve.service import RecursiveService, ServeConfig
-    from .serve.workload import (
-        ClientWorkload,
-        WorkloadConfig,
-        targets_from_world,
-        workload_digest,
-    )
+    from .serve.profiles import run_serve
+    from .serve.service import ServeConfig
+    from .serve.workload import workload_digest
 
     chaos_status = _check_chaos_arg(args.chaos, out)
     if chaos_status is not None:
@@ -613,40 +608,24 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         serve_stale=not args.no_serve_stale,
         prefetch=not args.no_prefetch,
     )
-    service = RecursiveService(
-        world.network,
-        world.root_addresses,
-        source=world.probe_source,
-        config=config,
-        seed=args.seed,
-    )
     try:
-        workload = ClientWorkload(
-            targets_from_world(world),
-            config=WorkloadConfig(duration=args.duration, mean_qps=args.qps),
-            seed=args.seed,
+        run = run_serve(
+            world,
+            args.seed,
+            args.chaos,
+            args.duration,
+            args.qps,
+            config=config,
+            warm=not args.no_warm,
         )
     except ValueError as error:
         print(f"error: {error}", file=out)
         return 2
-    queries = workload.generate()
-    digest = workload_digest(queries)
+    digest = workload_digest(run.queries)
 
-    warmed = 0
-    if not args.no_warm:
-        warmed = service.warm(queries)
-        # Age the warm cache past its TTLs so the run exercises expiry,
-        # prefetch, and (under chaos) the serve-stale path rather than
-        # riding a permanently-fresh cache.
-        world.clock.advance(config.max_ttl + 1.0)
-
-    if args.chaos is not None:
-        install_chaos_profile(world.network, args.chaos, seed=args.seed)
-
-    answers = service.run(queries)
     report = ServingReport.collect(
-        answers,
-        service,
+        run.answers,
+        run.service,
         seed=args.seed,
         profile=args.chaos,
         duration=args.duration,
@@ -658,8 +637,8 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         ),
     )
     print(
-        f"queries served: {len(answers)} "
-        f"(warmed {warmed} names, workload digest {digest[:12]}…)",
+        f"queries served: {len(run.answers)} "
+        f"(warmed {run.warmed} names, workload digest {digest[:12]}…)",
         file=out,
     )
     print(report.render(), file=out)

@@ -16,9 +16,16 @@ from .baseline import DEFAULT_BASELINE_NAME, Baseline
 from .engine import LintEngine
 from .findings import Finding
 from .flow import FLOW_RULES, analyze_paths as analyze_flow
-from .output import FORMATS, render_json, render_sarif, render_text
+from .output import FORMATS, render_report
 
-__all__ = ["build_parser", "configure_parser", "run", "main"]
+__all__ = [
+    "build_parser",
+    "configure_parser",
+    "load_baseline",
+    "run",
+    "main",
+    "write_baseline",
+]
 
 _VERSION = "1.1.0"
 
@@ -106,6 +113,29 @@ def _resolve_baseline_path(args: argparse.Namespace) -> Optional[Path]:
     return None
 
 
+def load_baseline(path: Path, out: IO[str]) -> Optional[Baseline]:
+    """Read the baseline at ``path`` (missing: empty).  An unreadable or
+    malformed file is reported as ``error: …`` and yields ``None``,
+    which every analyzer CLI returns as its usage-error exit 2."""
+    try:
+        return Baseline.load(path)
+    except ValueError as exc:
+        print(f"error: {exc}", file=out)
+        return None
+
+
+def write_baseline(
+    findings: Sequence[Finding], target: Path, out: IO[str]
+) -> int:
+    """Record ``findings`` as the new baseline at ``target``; exit 0."""
+    Baseline.from_findings(findings).dump(target)
+    print(
+        f"baseline written: {target} ({len(findings)} finding(s))",
+        file=out,
+    )
+    return 0
+
+
 def _selected_rules(engine: LintEngine, analyzer: str) -> List[Any]:
     """Rule descriptors for reporting, per analyzer selection."""
     rules: List[Any] = []
@@ -134,10 +164,8 @@ def run(args: argparse.Namespace, out: IO[str]) -> int:
             if args.baseline is not None
             else Path(DEFAULT_BASELINE_NAME)
         )
-        try:
-            baseline = Baseline.load(target)
-        except ValueError as exc:
-            print(f"error: {exc}", file=out)
+        baseline = load_baseline(target, out)
+        if baseline is None:
             return 2
         pruned, dropped = baseline.prune()
         pruned.dump(target)
@@ -169,32 +197,26 @@ def run(args: argparse.Namespace, out: IO[str]) -> int:
         target = baseline_path if baseline_path is not None else Path(
             DEFAULT_BASELINE_NAME
         )
-        Baseline.from_findings(findings).dump(target)
-        print(
-            f"baseline written: {target} ({len(findings)} finding(s))",
-            file=out,
-        )
-        return 0
+        return write_baseline(findings, target, out)
 
-    if baseline_path is not None:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except ValueError as exc:
-            print(f"error: {exc}", file=out)
-            return 2
-    else:
-        baseline = Baseline()
+    baseline = (
+        load_baseline(baseline_path, out)
+        if baseline_path is not None
+        else Baseline()
+    )
+    if baseline is None:
+        return 2
     match = baseline.match(findings)
-
-    if args.format == "json":
-        print(render_json(match), file=out)
-    elif args.format == "sarif":
-        print(
-            render_sarif(match, _selected_rules(engine, analyzer), _VERSION),
-            file=out,
-        )
-    else:
-        print(render_text(match), file=out)
+    print(
+        render_report(
+            match,
+            args.format,
+            _selected_rules(engine, analyzer),
+            _VERSION,
+            tool="reprolint",
+        ),
+        file=out,
+    )
     return 1 if match.new else 0
 
 

@@ -42,6 +42,21 @@ class Severity(enum.Enum):
         return str(self.value)
 
 
+@dataclass(frozen=True)
+class RuleDescriptor:
+    """One rule's reporting metadata (SARIF ``rules`` / ``--list-rules``).
+
+    Every analyzer family whose rules are data rather than AST visitors
+    (flowlint, zonelint, servelint) describes them with this one type;
+    reprolint's :class:`~repro.lint.engine.Rule` classes carry the same
+    three attributes, so the shared reporters accept either.
+    """
+
+    rule_id: str
+    description: str
+    severity: Severity
+
+
 @dataclass(frozen=True, order=True)
 class TraceHop:
     """One step on a finding's source→sink path.

@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
-from ..findings import Severity
-
 __all__ = [
     "TAINT_CLOCK",
     "TAINT_RNG",
@@ -49,7 +47,6 @@ __all__ = [
     "FrozenWrite",
     "FunctionSummary",
     "ModuleInfo",
-    "FlowRule",
 ]
 
 # Concrete taint kinds — each maps 1:1 to an FLW rule in rules.py.
@@ -193,12 +190,3 @@ class ModuleInfo:
     lines: Tuple[str, ...] = ()
     classes: Dict[str, List[str]] = field(default_factory=dict)
     # classes: bare class name -> method names (for receiver inference)
-
-
-@dataclass(frozen=True)
-class FlowRule:
-    """Descriptor for one FLW rule (SARIF metadata / --list-rules)."""
-
-    rule_id: str
-    description: str
-    severity: Severity

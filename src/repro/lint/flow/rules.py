@@ -28,14 +28,8 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..findings import Severity
-from .model import (
-    TAINT_CLOCK,
-    TAINT_ENV,
-    TAINT_OBJECT,
-    TAINT_RNG,
-    FlowRule,
-)
+from ..findings import RuleDescriptor, Severity
+from .model import TAINT_CLOCK, TAINT_ENV, TAINT_OBJECT, TAINT_RNG
 
 __all__ = [
     "FLOW_RULES",
@@ -53,49 +47,49 @@ __all__ = [
     "FREEZABLE_METHODS",
 ]
 
-FLOW_RULES: Tuple[FlowRule, ...] = (
-    FlowRule(
+FLOW_RULES: Tuple[RuleDescriptor, ...] = (
+    RuleDescriptor(
         "FLW001",
         "wall-clock value flows into a determinism sink "
         "(digest/serialization/perf record/dataset merge)",
         Severity.ERROR,
     ),
-    FlowRule(
+    RuleDescriptor(
         "FLW002",
         "global/unseeded RNG or entropy value flows into a "
         "determinism sink",
         Severity.ERROR,
     ),
-    FlowRule(
+    RuleDescriptor(
         "FLW003",
         "environment-variable value flows into a determinism sink",
         Severity.ERROR,
     ),
-    FlowRule(
+    RuleDescriptor(
         "FLW004",
         "id()/hash() object-identity value flows into a determinism "
         "sink (varies with PYTHONHASHSEED / allocation order)",
         Severity.ERROR,
     ),
-    FlowRule(
+    RuleDescriptor(
         "FLW005",
         "set-iteration order flows into a determinism sink; sort "
         "before materializing",
         Severity.WARNING,
     ),
-    FlowRule(
+    RuleDescriptor(
         "FLW101",
         "generator task writes shared mutable state after a yield "
         "point without scheduler mediation (cooperative race)",
         Severity.ERROR,
     ),
-    FlowRule(
+    RuleDescriptor(
         "FLW102",
         "constant-seeded random.Random() inside the shard-worker call "
         "graph; derive the stream from per-shard material",
         Severity.WARNING,
     ),
-    FlowRule(
+    RuleDescriptor(
         "FLW103",
         "write to a frozen cache (put/invalidate/flush after freeze() "
         "on the same receiver is a silent no-op)",
@@ -214,7 +208,7 @@ WORKER_ROOTS = ("_shard_worker",)
 # freeze-then-write check.
 FREEZABLE_METHODS = frozenset({"put", "invalidate", "flush"})
 
-RULES_BY_ID: Dict[str, FlowRule] = {rule.rule_id: rule for rule in FLOW_RULES}
+RULES_BY_ID: Dict[str, RuleDescriptor] = {rule.rule_id: rule for rule in FLOW_RULES}
 __all__.append("RULES_BY_ID")
 __all__.append("RNG_SEEDED_CONSTRUCTOR")
 __all__.append("ENV_MAPPING")

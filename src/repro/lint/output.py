@@ -9,12 +9,12 @@ findings from new ones.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from .baseline import BaselineMatch
 from .findings import Finding
 
-__all__ = ["render_text", "render_json", "render_sarif", "FORMATS"]
+__all__ = ["render_text", "render_json", "render_sarif", "render_report", "FORMATS"]
 
 FORMATS = ("text", "json", "sarif")
 
@@ -161,8 +161,9 @@ def render_sarif(
 
     ``rules`` is any sequence of objects with ``rule_id``,
     ``description`` and ``severity`` attributes — reprolint's AST rules
-    and zonelint's smell descriptors both qualify, which is what lets
-    the two analyzer families share one reporter.
+    and every other family's
+    :class:`~repro.lint.findings.RuleDescriptor` both qualify, which is
+    what lets all analyzer families share one reporter.
     """
     driver_rules = [
         {
@@ -196,3 +197,22 @@ def render_sarif(
         ],
     }
     return json.dumps(document, indent=2)
+
+
+def render_report(
+    match: BaselineMatch,
+    fmt: str,
+    rules: Sequence[Any],
+    version: str,
+    tool: str,
+    preamble: Optional[str] = None,
+) -> str:
+    """``match`` in one of :data:`FORMATS` — the one report dispatch
+    every analyzer CLI shares.  ``preamble`` heads the text report
+    only; the JSON and SARIF documents stay machine-clean."""
+    if fmt == "json":
+        return render_json(match)
+    if fmt == "sarif":
+        return render_sarif(match, rules, version, tool=tool)
+    text = render_text(match)
+    return text if preamble is None else f"{preamble}\n{text}"

@@ -48,7 +48,6 @@ class ServeLinter:
         self,
         zone_linter: ZoneLinter,
         addresses: Tuple[IPv4Address, ...],
-        roots: Tuple[IPv4Address, ...],
         seed: int,
         config: ServeConfig = ServeConfig(),
         duration: float = 600.0,
@@ -58,7 +57,6 @@ class ServeLinter:
         self.config = config
         self.model = SurvivabilityModel(
             zone_linter.graph,
-            roots,
             addresses,
             seed=seed,
             config=config,
@@ -84,18 +82,11 @@ class ServeLinter:
         return cls(
             ZoneLinter.for_world(world),
             addresses,
-            tuple(world.root_addresses),
             seed=seed,
             config=config,
             duration=duration,
             lossy=lossy,
         )
-
-    def analyze_all(
-        self, targets: Mapping[DnsName, str]
-    ) -> Dict[DnsName, GroundTruth]:
-        """Ground truth for every target (delegation layer, reused)."""
-        return self.zones.analyze_all(targets)
 
     # ------------------------------------------------------------------
     # Findings

@@ -3,7 +3,8 @@
 Exit codes: 0 — analysis ran (and, with ``--baseline``, no finding
 escaped the ratchet); 1 — a finding not in the baseline, or
 ``--verify`` left a disagreement unexplained; 2 — usage errors
-(argparse / bad allowlist).
+(argparse, an unreadable or malformed ``--allow`` or ``--baseline``
+file).
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from ..lint.baseline import Baseline, BaselineMatch
-from ..lint.output import FORMATS, render_json, render_sarif, render_text
+from ..lint.baseline import Baseline
+from ..lint.cli import load_baseline, write_baseline
+from ..lint.output import FORMATS, render_report
 from ..worldgen.churn import world_at_epoch
 from .analyzer import ServeLinter
 from .rules import SV_RULES
@@ -87,6 +89,21 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 
 
 def run(args: argparse.Namespace, out) -> int:
+    # Read every input file first: a bad one is a usage error (exit 2)
+    # reported before any analysis runs.
+    try:
+        allow = load_allowlist(args.allow)
+    except ValueError as exc:
+        print(f"error: {exc}", file=out)
+        return 2
+    baseline = (
+        load_baseline(Path(args.baseline), out)
+        if args.baseline is not None
+        else Baseline()
+    )
+    if baseline is None:
+        return 2
+
     world = world_at_epoch(args.seed, args.scale)
     linter = ServeLinter.for_world(
         world, seed=args.seed, duration=args.duration
@@ -94,39 +111,29 @@ def run(args: argparse.Namespace, out) -> int:
     targets = {
         name: truth.iso2 for name, truth in world.truths.items()
     }
-    table = linter.analyze_all(targets)
+    table = linter.zones.analyze_all(targets)
     findings = linter.findings(table)
 
     if args.write_baseline is not None:
-        Baseline.from_findings(findings).dump(Path(args.write_baseline))
-        print(
-            f"baseline written: {len(findings)} finding(s) to "
-            f"{args.write_baseline}",
-            file=out,
-        )
-        return 0
-    if args.baseline is not None:
-        match = Baseline.load(Path(args.baseline)).match(findings)
-    else:
-        match = BaselineMatch(new=findings)
-
-    if args.format == "json":
-        print(render_json(match), file=out)
-    elif args.format == "sarif":
-        print(
-            render_sarif(match, SV_RULES, _VERSION, tool="servelint"),
-            file=out,
-        )
-    else:
-        print(f"servelint: {len(table)} domain(s) analyzed", file=out)
-        print(render_text(match), file=out)
+        return write_baseline(findings, Path(args.write_baseline), out)
+    match = baseline.match(findings)
+    print(
+        render_report(
+            match,
+            args.format,
+            SV_RULES,
+            _VERSION,
+            tool="servelint",
+            preamble=f"servelint: {len(table)} domain(s) analyzed",
+        ),
+        file=out,
+    )
 
     ratchet_failed = args.baseline is not None and bool(match.new)
 
     if not args.verify:
         return 1 if ratchet_failed else 0
 
-    allow = load_allowlist(args.allow)
     profiles = [p.strip() for p in args.profiles.split(",") if p.strip()]
     oracles = []
     for profile in profiles:

@@ -11,10 +11,10 @@ profile fires:
    timeout) covers the whole serve horizon.  Loss bursts, rate limits,
    and partially-covering windows are *probabilistic* — they can mask
    a prediction but never ground one.
-2. **Dead-aware resolution** — a mirror of the serving resolver's
-   decision procedure (zone-cut fast path with cold-walk fallback, the
-   same skip rules as :class:`repro.zonelint.graph.ZoneGraph`) is run
-   over the static graph with the dead set treated as silence.
+2. **Dead-aware resolution** — zonelint's
+   :class:`~repro.zonelint.graph.StaticResolver` (the serving
+   resolver's zone-cut fast path with cold-walk fallback) is run over
+   the static graph with the dead set treated as silence.
 3. **Cache arithmetic** — warm-time entry TTLs (clamped by the serve
    config), RFC 2308 negative TTLs, and the RFC 8767 stale window
    decide whether a dead upstream degrades to ``STALE_SERVED`` or all
@@ -33,19 +33,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from ..dns.message import Message, Rcode
 from ..dns.name import DnsName
-from ..dns.rdata import A, RRType
+from ..dns.rdata import RRType
 from ..inet.address import IPv4Address
 from ..net.chaos import FaultSchedule, build_profile
 from ..serve.service import DegradationState, ServeConfig
 from ..zonelint.analyzer import GroundTruth
 from ..zonelint.graph import (
+    CutStore,
+    StaticResolution,
+    StaticResolver,
     ZoneGraph,
-    _MAX_CNAME_HOPS,
-    _MAX_GLUELESS_DEPTH,
-    _MAX_REFERRALS,
-    _referral_parts,
 )
 from ..zonelint.smells import StaticOutcome
 
@@ -53,10 +51,8 @@ __all__ = [
     "IDLE_PROFILE",
     "KINDS",
     "ChaosOutlook",
-    "DeadAwareResolver",
     "DomainSurvivability",
     "KindPrediction",
-    "StaticResolution",
     "SurvivabilityModel",
     "kind_qname",
     "refresh_backoff_span",
@@ -91,20 +87,6 @@ def refresh_backoff_span(config: ServeConfig) -> float:
             policy.base * (policy.multiplier ** (attempt - 1)), policy.cap
         )
     return span
-
-
-@dataclass(frozen=True)
-class StaticResolution:
-    """One dead-aware static resolution: final status plus every
-    address the walk considered (dead ones included — they are part of
-    the serve path for masking purposes)."""
-
-    status: str  # "ok" | "nxdomain" | "nodata" | "failed"
-    attempted: Tuple[IPv4Address, ...]
-
-    @property
-    def answered(self) -> bool:
-        return self.status != "failed"
 
 
 class ChaosOutlook:
@@ -182,299 +164,6 @@ class ChaosOutlook:
         return any(a in self._partial for a in attempted)
 
 
-# One cached zone cut: NS hostnames plus glue, exactly as the live
-# ZoneCutCache stores every referral it processes (TTLs elided — the
-# worldgen delegation TTL outlives every default serve horizon).
-CutStore = Dict[
-    DnsName,
-    Tuple[Tuple[DnsName, ...], Dict[DnsName, Tuple[IPv4Address, ...]]],
-]
-
-
-class DeadAwareResolver:
-    """The serving resolver's decision procedure over the static graph.
-
-    Mirrors :class:`~repro.zonelint.graph.ZoneGraph`'s traversal rules
-    (which themselves mirror ``repro.dns.resolver``) with two serving
-    twists: addresses in ``dead`` are silence, and every resolution —
-    including glueless-NS sub-resolutions — starts at the deepest zone
-    cut the warm phase left in the live delegation cache before falling
-    back to a cold root walk, exactly the fast-path-then-invalidate
-    dance ``Resolver._resolve_inner`` performs.
-
-    ``cuts`` is shared across the model's resolvers: the idle resolver
-    *records* every referral it processes (``record=True``, the static
-    twin of ``ZoneCutCache.put``), the per-profile chaos resolvers only
-    consume it.
-    """
-
-    def __init__(
-        self,
-        graph: ZoneGraph,
-        roots: Tuple[IPv4Address, ...],
-        dead: FrozenSet[IPv4Address],
-        cuts: CutStore,
-        record: bool = False,
-    ) -> None:
-        self._graph = graph
-        self._roots = tuple(roots)
-        self._dead = dead
-        self._cuts = cuts
-        self._record = record
-        self._a_memo: Dict[
-            DnsName, Tuple[Tuple[IPv4Address, ...], Tuple[IPv4Address, ...]]
-        ] = {}
-
-    def _deepest_cut(
-        self, qname: DnsName
-    ) -> Optional[Tuple[List[IPv4Address], List[DnsName]]]:
-        """Candidates + glueless hostnames of the deepest cached cut
-        strictly above ``qname`` (mirrors ``deepest_enclosing``)."""
-        for ancestor in qname.ancestors(include_self=False):
-            if len(ancestor) == 0:
-                break  # the root is served by hints, never a cut
-            cut = self._cuts.get(ancestor)
-            if cut is None:
-                continue
-            hostnames, glue = cut
-            candidates = [
-                address
-                for hostname in hostnames
-                for address in glue.get(hostname, ())
-            ]
-            glueless = [h for h in hostnames if h not in glue]
-            return candidates, glueless
-        return None
-
-    def resolve(self, qname: DnsName, qtype: str) -> StaticResolution:
-        attempted: Dict[IPv4Address, None] = {}
-        status = "failed"
-        cut = self._deepest_cut(qname)
-        if cut is not None:
-            candidates, glueless = cut
-            status = self._resolve_from(
-                candidates, glueless, qname, qtype, attempted, 0
-            )
-        if status == "failed":
-            # The live resolver invalidates the cut and re-walks cold.
-            status = self._resolve_from(
-                list(self._roots), [], qname, qtype, attempted, 0
-            )
-        return StaticResolution(status, tuple(sorted(attempted)))
-
-    def resolve_cold(self, qname: DnsName, qtype: str) -> StaticResolution:
-        """Resolution with no cached cut — what the live run does when
-        its SRTT-ordered warm phase happened never to process (or to
-        have invalidated) the delegation the cut-aware path starts at.
-        Predictions take the union of both variants, since which one
-        the live resolver lives is order-dependent."""
-        attempted: Dict[IPv4Address, None] = {}
-        status = self._resolve_from(
-            list(self._roots), [], qname, qtype, attempted, 0
-        )
-        return StaticResolution(status, tuple(sorted(attempted)))
-
-    def _resolve_from(
-        self,
-        candidates: List[IPv4Address],
-        glueless: List[DnsName],
-        qname: DnsName,
-        qtype: str,
-        attempted: Dict[IPv4Address, None],
-        cname_hops: int,
-    ) -> str:
-        for _ in range(_MAX_REFERRALS):
-            response = self._first_useful(
-                candidates, glueless, qname, qtype, attempted, depth=0
-            )
-            if response is None:
-                return "failed"
-            if response.rcode == Rcode.NXDOMAIN:
-                return "nxdomain"
-            if response.aa and response.answers:
-                if response.answer_rrset(qtype) is not None:
-                    return "ok"
-                cname = response.answer_rrset(RRType.CNAME)
-                if cname is not None:
-                    if cname_hops >= _MAX_CNAME_HOPS:
-                        return "failed"
-                    return self._resolve_from(
-                        list(self._roots),
-                        [],
-                        cname.rdatas[-1].target,
-                        qtype,
-                        attempted,
-                        cname_hops + 1,
-                    )
-                return "nodata"
-            if response.aa:
-                return "nodata"
-            if response.is_referral and not response.is_upward_referral:
-                hostnames, glue = self._take_referral(response)
-                candidates = [
-                    address
-                    for addresses in glue.values()
-                    for address in addresses
-                ]
-                glueless = [h for h in hostnames if h not in glue]
-                continue
-            return "failed"
-        return "failed"
-
-    def _take_referral(
-        self, response: Message
-    ) -> Tuple[Tuple[DnsName, ...], Dict[DnsName, Tuple[IPv4Address, ...]]]:
-        """Split a referral and, when recording, cache it as a cut —
-        the static twin of the live ``_zone_cuts.put`` on every
-        referral processed."""
-        hostnames, glue = _referral_parts(response)
-        if self._record:
-            delegation = response.authority_rrset(RRType.NS)
-            assert delegation is not None
-            self._cuts[delegation.name] = (hostnames, glue)
-        return hostnames, glue
-
-    def _first_useful(
-        self,
-        candidates: List[IPv4Address],
-        glueless: List[DnsName],
-        qname: DnsName,
-        qtype: str,
-        attempted: Dict[IPv4Address, None],
-        depth: int,
-    ) -> Optional[Message]:
-        queue = list(candidates)
-        pending = list(glueless)
-        useful: Optional[Message] = None
-        while queue or pending:
-            if not queue:
-                if useful is not None:
-                    break
-                hostname = pending.pop(0)
-                queue.extend(self._resolve_a(hostname, depth + 1, attempted))
-                continue
-            address = queue.pop(0)
-            if useful is not None and not self._record:
-                break
-            attempted[address] = None
-            if address in self._dead:
-                continue  # the fault window plays the role of a timeout
-            response = self._graph.query(address, qname, qtype)
-            if response is None:
-                continue
-            if response.rcode in (Rcode.REFUSED, Rcode.SERVFAIL):
-                continue
-            if response.is_upward_referral:
-                continue
-            if not (response.answers or response.aa or response.is_referral):
-                continue  # lame: not authoritative, nothing useful
-            if self._record:
-                # The live resolver stops at its first useful response,
-                # but *which* candidate that is depends on SRTT order.
-                # Recording referrals from every candidate makes the
-                # static cut store a superset of any live ordering; the
-                # cold-resolution variant covers the none-cached case.
-                if response.is_referral and not response.is_upward_referral:
-                    self._take_referral(response)
-                if useful is None:
-                    useful = response
-                continue
-            return response
-        return useful
-
-    def _resolve_a(
-        self,
-        hostname: DnsName,
-        depth: int,
-        attempted: Dict[IPv4Address, None],
-    ) -> Tuple[IPv4Address, ...]:
-        memo = self._a_memo.get(hostname)
-        if memo is not None:
-            addresses, walked = memo
-            for address in walked:
-                attempted[address] = None
-            return addresses
-        walk: Dict[IPv4Address, None] = {}
-        addresses = self._resolve_addresses(hostname, depth, 0, walk)
-        self._a_memo[hostname] = (addresses, tuple(walk))
-        for address in walk:
-            attempted[address] = None
-        return addresses
-
-    def _resolve_addresses(
-        self,
-        qname: DnsName,
-        depth: int,
-        cname_hops: int,
-        attempted: Dict[IPv4Address, None],
-    ) -> Tuple[IPv4Address, ...]:
-        if depth > _MAX_GLUELESS_DEPTH or cname_hops > _MAX_CNAME_HOPS:
-            return ()
-        # Glueless sub-resolutions go through the same cached-cut fast
-        # path as the main walk (they are recursive _resolve_inner
-        # calls in the live resolver), with the same cold fallback.
-        cut = self._deepest_cut(qname)
-        if cut is not None:
-            candidates, glueless = cut
-            found = self._addresses_from(
-                list(candidates), list(glueless), qname, depth,
-                cname_hops, attempted,
-            )
-            if found:
-                return found
-        return self._addresses_from(
-            list(self._roots), [], qname, depth, cname_hops, attempted
-        )
-
-    def _addresses_from(
-        self,
-        candidates: List[IPv4Address],
-        glueless: List[DnsName],
-        qname: DnsName,
-        depth: int,
-        cname_hops: int,
-        attempted: Dict[IPv4Address, None],
-    ) -> Tuple[IPv4Address, ...]:
-        for _ in range(_MAX_REFERRALS):
-            response = self._first_useful(
-                candidates, glueless, qname, RRType.A, attempted, depth
-            )
-            if response is None:
-                return ()
-            if response.rcode == Rcode.NXDOMAIN:
-                return ()
-            if response.aa and response.answers:
-                answer = response.answer_rrset(RRType.A)
-                if answer is not None:
-                    found = []
-                    for rdata in answer.rdatas:
-                        assert isinstance(rdata, A)
-                        found.append(rdata.address)
-                    return tuple(found)
-                cname = response.answer_rrset(RRType.CNAME)
-                if cname is not None:
-                    return self._resolve_addresses(
-                        cname.rdatas[-1].target,
-                        depth,
-                        cname_hops + 1,
-                        attempted,
-                    )
-                return ()
-            if response.aa:
-                return ()  # authoritative NODATA
-            if response.is_referral and not response.is_upward_referral:
-                hostnames, glue = self._take_referral(response)
-                candidates = [
-                    address
-                    for addresses in glue.values()
-                    for address in addresses
-                ]
-                glueless = [h for h in hostnames if h not in glue]
-                continue
-            return ()
-        return ()
-
-
 @dataclass(frozen=True)
 class KindPrediction:
     """Acceptable degradation states for one (domain, kind, profile)."""
@@ -519,7 +208,6 @@ class SurvivabilityModel:
     def __init__(
         self,
         graph: ZoneGraph,
-        roots: Tuple[IPv4Address, ...],
         addresses: Tuple[IPv4Address, ...],
         seed: int,
         config: ServeConfig = ServeConfig(),
@@ -527,7 +215,6 @@ class SurvivabilityModel:
         lossy: Tuple[IPv4Address, ...] = (),
     ) -> None:
         self._graph = graph
-        self._roots = tuple(roots)
         self._addresses = tuple(addresses)
         self._seed = seed
         self.config = config
@@ -535,7 +222,7 @@ class SurvivabilityModel:
         self._lossy = tuple(lossy)
         self._cuts: CutStore = {}
         self._outlooks: Dict[str, ChaosOutlook] = {}
-        self._resolvers: Dict[str, DeadAwareResolver] = {}
+        self._resolvers: Dict[str, StaticResolver] = {}
         self._idle_memo: Dict[Tuple[DnsName, str], StaticResolution] = {}
         self._variant_memo: Dict[
             Tuple[str, DnsName, str],
@@ -568,12 +255,11 @@ class SurvivabilityModel:
             self._outlooks[profile] = cached
         return cached
 
-    def _resolver(self, profile: str) -> DeadAwareResolver:
+    def _resolver(self, profile: str) -> StaticResolver:
         cached = self._resolvers.get(profile)
         if cached is None:
-            cached = DeadAwareResolver(
+            cached = StaticResolver(
                 self._graph,
-                self._roots,
                 self.outlook(profile).dead,
                 cuts=self._cuts,
                 # Only the idle (warm-phase) resolver grows the shared

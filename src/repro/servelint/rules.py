@@ -8,19 +8,17 @@ domain keep answering, answer stale, or go dark?" — the question the
 paper's resilience findings (single-NS governments, provider
 concentration) pose and the follow-on resilience study measures.
 
-Rules are plain descriptors duck-type compatible with reprolint's, so
+Rules are the shared :class:`~repro.lint.findings.RuleDescriptor`, so
 the shared text/JSON/SARIF reporters render them unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from ..lint.findings import Severity
+from ..lint.findings import RuleDescriptor, Severity
 
 __all__ = [
-    "SurvivabilityRule",
     "SV_RULES",
     "RULES_BY_ID",
     "NEGATIVE_TTL_FLOOR",
@@ -40,60 +38,50 @@ TTL_COHORT_SHARE = 0.5
 TTL_COHORT_MIN = 8
 
 
-@dataclass(frozen=True)
-class SurvivabilityRule:
-    """One servelint rule: duck-type compatible with reprolint's rules
-    so the shared SARIF renderer accepts any family."""
-
-    rule_id: str
-    description: str
-    severity: Severity
-
-
-SV_RULES: Tuple[SurvivabilityRule, ...] = (
-    SurvivabilityRule(
+SV_RULES: Tuple[RuleDescriptor, ...] = (
+    RuleDescriptor(
         "SV001",
         "dark under outage: every serve path dies and no cache entry "
         "bridges the fault window — clients see SERVFAIL",
         Severity.ERROR,
     ),
-    SurvivabilityRule(
+    RuleDescriptor(
         "SV002",
         "survives only via the RFC 8767 stale window: every upstream "
         "path dies under the outage profile, answers degrade to stale",
         Severity.WARNING,
     ),
-    SurvivabilityRule(
+    RuleDescriptor(
         "SV003",
         "single-NS domain whose entire serve path dies under the "
         "outage profile (the paper's d_1NS resilience finding)",
         Severity.ERROR,
     ),
-    SurvivabilityRule(
+    RuleDescriptor(
         "SV004",
         "positive TTL shorter than the committed outage window with no "
         "surviving nameserver: live answers cannot outlast the fault",
         Severity.WARNING,
     ),
-    SurvivabilityRule(
+    RuleDescriptor(
         "SV005",
         "negative-TTL amplification: the effective negative TTL is so "
         "short that NXDOMAIN storms re-hit the upstream",
         Severity.WARNING,
     ),
-    SurvivabilityRule(
+    RuleDescriptor(
         "SV006",
         "refresh-storm risk: a dominant cohort of domains shares one "
         "clamped TTL, so warmed entries expire (and refresh) in sync",
         Severity.NOTE,
     ),
-    SurvivabilityRule(
+    RuleDescriptor(
         "SV007",
         "background refresh futile: the entire bounded backoff schedule "
         "lands inside the outage window — every refresh is abandoned",
         Severity.WARNING,
     ),
-    SurvivabilityRule(
+    RuleDescriptor(
         "SV008",
         "stale window too small to bridge a committed chaos profile's "
         "fault window",
@@ -101,6 +89,6 @@ SV_RULES: Tuple[SurvivabilityRule, ...] = (
     ),
 )
 
-RULES_BY_ID: Dict[str, SurvivabilityRule] = {
+RULES_BY_ID: Dict[str, RuleDescriptor] = {
     rule.rule_id: rule for rule in SV_RULES
 }

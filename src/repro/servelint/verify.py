@@ -33,19 +33,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..dns.name import DnsName
-from ..serve.profiles import install_chaos_profile
-from ..serve.service import RecursiveService, ServeConfig
-from ..serve.workload import (
-    ClientWorkload,
-    WorkloadConfig,
-    targets_from_world,
-)
+from ..serve.profiles import run_serve
+from ..serve.service import ServeConfig
+from ..serve.workload import targets_from_world
 from ..worldgen.churn import world_at_epoch
-from ..zonelint.graph import ZoneGraph
-from .model import IDLE_PROFILE, KINDS, SurvivabilityModel
+from .analyzer import ServeLinter
+from .model import IDLE_PROFILE, KINDS
 
 __all__ = [
     "Disagreement",
@@ -104,15 +100,27 @@ class ProfileOracle:
 
 
 def load_allowlist(path: Optional[str]) -> Allowlist:
-    """Read ``--allow`` JSON: a list of {profile, domain, kind} objects."""
+    """Read ``--allow`` JSON: a list of {profile, domain, kind} objects.
+
+    Raises ``ValueError`` on an unreadable file or a malformed entry.
+    """
     if path is None:
         return frozenset()
-    with open(path, "r", encoding="utf-8") as handle:
-        entries = json.load(handle)
-    return frozenset(
-        (entry["profile"], entry["domain"], entry["kind"])
-        for entry in entries
-    )
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            entries = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"unreadable allowlist {path}: {exc}") from exc
+    try:
+        return frozenset(
+            (entry["profile"], entry["domain"], entry["kind"])
+            for entry in entries
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(
+            f"malformed allowlist {path}: every entry needs profile, "
+            f"domain and kind ({exc!r})"
+        ) from exc
 
 
 def verify_profile(
@@ -126,52 +134,25 @@ def verify_profile(
 ) -> ProfileOracle:
     """Serve one profile's run and classify every disagreement.
 
-    Replicates the ``repro serve`` pipeline byte-for-byte (warm → age
-    past the TTL clamp → install chaos → run), then rebuilds the static
-    model with the *observed* serve span so fault windows the run
-    outlived downgrade from deterministic to merely maskable.
+    Runs the ``repro serve`` pipeline (:func:`~repro.serve.profiles.run_serve`),
+    then builds the static model with the *observed* serve span so
+    fault windows the run outlived downgrade from deterministic to
+    merely maskable.
     """
     world = world_at_epoch(seed, scale)
-    service = RecursiveService(
-        world.network,
-        world.root_addresses,
-        source=world.probe_source,
+    run = run_serve(
+        world,
+        seed,
+        None if profile == IDLE_PROFILE else profile,
+        duration,
+        qps,
         config=config,
-        seed=seed,
     )
+    queries, service = run.queries, run.service
+    model = ServeLinter.for_world(
+        world, seed, config=config, duration=run.serve_seconds
+    ).model
     targets = targets_from_world(world)
-    workload = ClientWorkload(
-        targets,
-        config=WorkloadConfig(duration=duration, mean_qps=qps),
-        seed=seed,
-    )
-    queries = workload.generate()
-    service.warm(queries)
-    world.clock.advance(config.max_ttl + 1.0)
-    if profile != IDLE_PROFILE:
-        install_chaos_profile(world.network, profile, seed=seed)
-    serve_base = world.clock.now
-    service.run(queries)
-    elapsed = world.clock.now - serve_base
-
-    addresses = tuple(sorted(world.network.addresses()))
-    lossy = tuple(
-        address
-        for address in addresses
-        if world.network.effective_loss_rate(address) > 0.0
-    )
-    graph = ZoneGraph(
-        world.network, tuple(world.root_addresses), world.probe_source
-    )
-    model = SurvivabilityModel(
-        graph,
-        tuple(world.root_addresses),
-        addresses,
-        seed=seed,
-        config=config,
-        duration=elapsed,
-        lossy=lossy,
-    )
     # Static twin of the warm phase: build the delegation-cut cache
     # the live resolver holds at serve start.
     model.warm([domain for domain, _iso2 in targets])
@@ -198,7 +179,7 @@ def verify_profile(
         seed=seed,
         scale=scale,
         queries=len(queries),
-        serve_seconds=elapsed,
+        serve_seconds=run.serve_seconds,
     )
     for domain, _iso2 in targets:
         for kind in KINDS:

@@ -20,7 +20,6 @@ from .smells import (
     CONSISTENCY_RULE_IDS,
     RULES_BY_ID,
     ZL_RULES,
-    SmellRule,
     StaticConsistency,
     StaticDelegation,
     StaticOutcome,
@@ -34,7 +33,6 @@ __all__ = [
     "ZoneLinter",
     "StaticWalk",
     "ZoneGraph",
-    "SmellRule",
     "ZL_RULES",
     "RULES_BY_ID",
     "CONSISTENCY_RULE_IDS",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 
 from ..lint.baseline import BaselineMatch
-from ..lint.output import FORMATS, render_json, render_sarif, render_text
+from ..lint.output import FORMATS, render_report
 from ..worldgen.churn import world_at_epoch
 from .analyzer import ZoneLinter
 from .smells import ZL_RULES
@@ -47,18 +47,17 @@ def run(args: argparse.Namespace, out) -> int:
     }
     table = linter.analyze_all(targets)
     findings = linter.findings(table)
-    match = BaselineMatch(new=findings)
-
-    if args.format == "json":
-        print(render_json(match), file=out)
-    elif args.format == "sarif":
-        print(
-            render_sarif(match, ZL_RULES, _VERSION, tool="zonelint"),
-            file=out,
-        )
-    else:
-        print(f"zonelint: {len(table)} domain(s) analyzed", file=out)
-        print(render_text(match), file=out)
+    print(
+        render_report(
+            BaselineMatch(new=findings),
+            args.format,
+            ZL_RULES,
+            _VERSION,
+            tool="zonelint",
+            preamble=f"zonelint: {len(table)} domain(s) analyzed",
+        ),
+        file=out,
+    )
 
     if not args.verify:
         return 0

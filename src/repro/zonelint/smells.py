@@ -4,8 +4,9 @@ Each ZL rule names one deployment smell the paper measures actively:
 stale delegations and the per-mode defect taxonomy (§IV-C), the
 Figure-13 parent/child consistency classes (§IV-D), hijackable
 nameserver domains (§IV-E), and the replication smells behind
-Figures 8–10.  Rules are plain descriptors so the reprolint SARIF
-renderer can emit them unchanged.
+Figures 8–10.  Rules are the shared
+:class:`~repro.lint.findings.RuleDescriptor`, so the reprolint SARIF
+renderer emits them unchanged.
 
 The ``Static*`` constant classes mirror the *string values* used by the
 active pipeline (``repro.core.dataset`` / ``delegation`` /
@@ -19,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from ..lint.findings import Severity
+from ..lint.findings import RuleDescriptor, Severity
 
 __all__ = [
-    "SmellRule",
     "ZL_RULES",
     "RULES_BY_ID",
     "CONSISTENCY_RULE_IDS",
@@ -76,94 +76,84 @@ class StaticConsistency:
     DISJOINT = "P∩C=∅, no IP overlap"
 
 
-@dataclass(frozen=True)
-class SmellRule:
-    """One zonelint rule: duck-type compatible with reprolint's rules so
-    the shared SARIF renderer accepts either family."""
-
-    rule_id: str
-    description: str
-    severity: Severity
-
-
-ZL_RULES: Tuple[SmellRule, ...] = (
-    SmellRule(
+ZL_RULES: Tuple[RuleDescriptor, ...] = (
+    RuleDescriptor(
         "ZL001",
         "stale delegation: the parent lists nameservers but none serves "
         "the zone",
         Severity.ERROR,
     ),
-    SmellRule(
+    RuleDescriptor(
         "ZL002",
         "delegated nameserver hostname does not resolve",
         Severity.ERROR,
     ),
-    SmellRule(
+    RuleDescriptor(
         "ZL003",
         "delegated nameserver resolves but nothing answers at its "
         "addresses",
         Severity.ERROR,
     ),
-    SmellRule(
+    RuleDescriptor(
         "ZL004",
         "lame nameserver: a server answers but never authoritatively "
         "for the zone",
         Severity.ERROR,
     ),
-    SmellRule(
+    RuleDescriptor(
         "ZL010",
         "parent NS set is a strict subset of the child's (P⊂C)",
         Severity.WARNING,
     ),
-    SmellRule(
+    RuleDescriptor(
         "ZL011",
         "child NS set is a strict subset of the parent's (C⊂P)",
         Severity.WARNING,
     ),
-    SmellRule(
+    RuleDescriptor(
         "ZL012",
         "parent and child NS sets overlap but neither contains the "
         "other",
         Severity.WARNING,
     ),
-    SmellRule(
+    RuleDescriptor(
         "ZL013",
         "parent and child NS sets are disjoint but share addresses",
         Severity.WARNING,
     ),
-    SmellRule(
+    RuleDescriptor(
         "ZL014",
         "parent and child NS sets are disjoint with no shared address",
         Severity.WARNING,
     ),
-    SmellRule(
+    RuleDescriptor(
         "ZL015",
         "single-label nameserver name (dropped-origin typo)",
         Severity.WARNING,
     ),
-    SmellRule(
+    RuleDescriptor(
         "ZL020",
         "nameserver under a registrable domain: hijack exposure",
         Severity.ERROR,
     ),
-    SmellRule(
+    RuleDescriptor(
         "ZL030",
         "single point of failure: the delegation lists one nameserver",
         Severity.NOTE,
     ),
-    SmellRule(
+    RuleDescriptor(
         "ZL031",
         "no network diversity: every nameserver address sits in one /24",
         Severity.NOTE,
     ),
-    SmellRule(
+    RuleDescriptor(
         "ZL032",
         "nameserver addresses span multiple /24s inside a single AS",
         Severity.NOTE,
     ),
 )
 
-RULES_BY_ID: Dict[str, SmellRule] = {rule.rule_id: rule for rule in ZL_RULES}
+RULES_BY_ID: Dict[str, RuleDescriptor] = {rule.rule_id: rule for rule in ZL_RULES}
 
 # Figure-13 deviation class → the rule that reports it.
 CONSISTENCY_RULE_IDS: Dict[str, str] = {

@@ -9,6 +9,7 @@ test scale.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -53,7 +54,7 @@ def linter(world):
 
 @pytest.fixture(scope="module")
 def findings(linter, targets):
-    return linter.findings(linter.analyze_all(targets))
+    return linter.findings(linter.zones.analyze_all(targets))
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +131,7 @@ class TestFindings:
         tight = ServeLinter.for_world(
             world, seed=SEED, config=ServeConfig(negative_ttl=30)
         )
-        findings = tight.findings(tight.analyze_all(targets))
+        findings = tight.findings(tight.zones.analyze_all(targets))
         sv005 = [f for f in findings if f.rule_id == "SV005"]
         assert sv005
         assert all("30s" in f.message for f in sv005)
@@ -143,7 +144,7 @@ class TestFindings:
             seed=SEED,
             config=ServeConfig(max_ttl=60, stale_window=60.0),
         )
-        findings = small.findings(small.analyze_all(targets))
+        findings = small.findings(small.zones.analyze_all(targets))
         sv008 = [f for f in findings if f.rule_id == "SV008"]
         assert len(sv008) == 1
         assert sv008[0].path == "world/serving-config"
@@ -160,10 +161,14 @@ class TestFindings:
 class TestDeterminism:
     def test_rebuilt_linter_is_byte_identical(self, world, targets, findings):
         rebuilt = ServeLinter.for_world(world, seed=SEED)
-        again = rebuilt.findings(rebuilt.analyze_all(targets))
+        again = rebuilt.findings(rebuilt.zones.analyze_all(targets))
         first = render_json(BaselineMatch(new=findings))
         second = render_json(BaselineMatch(new=again))
         assert first == second
+        # Pins the findings bytes across refactors of the model.
+        assert hashlib.sha256(first.encode()).hexdigest() == (
+            "21b340e8643d3128aca2adf39204798d18149d722f2e79afa8832c1df56f21f9"
+        )
         assert render_sarif(
             BaselineMatch(new=findings), SV_RULES, "1.0.0", tool="servelint"
         ) == render_sarif(
@@ -251,6 +256,26 @@ class TestCli:
         )
         assert code == 0  # nothing escapes its own baseline
 
+    @pytest.mark.parametrize(
+        "flag, content",
+        [
+            ("--allow", '[{"profile": "mixed"}]'),
+            ("--allow", "not json"),
+            ("--baseline", "not json"),
+        ],
+    )
+    def test_malformed_input_file_is_a_usage_error(
+        self, tmp_path, flag, content
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content, encoding="utf-8")
+        argv = ["--seed", str(SEED), "--scale", str(SCALE), "servelint"]
+        if flag == "--allow":
+            argv.append("--verify")
+        code, text = self.run_cli([*argv, flag, str(bad)])
+        assert code == 2
+        assert text.startswith("error: ") and str(bad) in text
+
 
 # ----------------------------------------------------------------------
 # The differential oracle
@@ -285,6 +310,10 @@ class TestOracle:
             SEED, SCALE, "outage", duration=300.0, qps=10.0
         )
         assert oracle_json([first]) == oracle_json([second])
+        # Pins the oracle bytes across refactors of the serve pipeline.
+        assert hashlib.sha256(oracle_json([first]).encode()).hexdigest() == (
+            "76dbc5c5810a24b02fd2497ccb5d3fe847877cd3e610fbcc78074e6cde44036f"
+        )
         payload = json.loads(oracle_json([first]))
         (entry,) = payload["oracles"]
         assert entry["profile"] == "outage"

@@ -9,10 +9,14 @@ asserts zonelint stays silent.
 
 from __future__ import annotations
 
+import hashlib
 from types import SimpleNamespace
 
 from repro.dns import A, AuthoritativeServer, DnsName, NS, SOA, Zone
+from repro.lint.baseline import BaselineMatch
+from repro.lint.output import render_json
 from repro.net import IPv4Address, Network
+from repro.worldgen import WorldConfig, WorldGenerator
 from repro.zonelint import (
     StaticConsistency,
     StaticDelegation,
@@ -359,3 +363,18 @@ def test_graph_walk_matches_mini_tree(mini_dns):
         ip("9.9.9.10"),
     )
     assert graph.resolve_a(parse("nope.health.gov.au.")) == ()
+
+
+# ----------------------------------------------------------------------
+# Byte pin over a generated world
+# ----------------------------------------------------------------------
+def test_generated_world_findings_json_is_pinned():
+    world = WorldGenerator(WorldConfig(seed=5, scale=0.004)).generate()
+    linter = ZoneLinter.for_world(world)
+    targets = {name: truth.iso2 for name, truth in world.truths.items()}
+    findings = linter.findings(linter.analyze_all(targets))
+    assert findings
+    report = render_json(BaselineMatch(new=findings))
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "da4e1af3ee51740948945097f34d37f52fc4d70e8c6b3eb4794a06ac7031fb3d"
+    )
