@@ -63,23 +63,26 @@ def _validate_label(label: str) -> str:
 
 
 class _NameForms:
-    """Derived forms shared by every instance of one interned name.
+    """The interned label tuple of one name, and the derived forms
+    shared by every instance of it.
 
-    The slots start as ``None`` and are filled on first use; once set
-    they never change (names are immutable), so no invalidation exists.
+    The derived slots start as ``None`` and are filled on first use;
+    once set they never change (names are immutable), so no
+    invalidation exists.
     """
 
-    __slots__ = ("hash", "sort_key", "text", "wire")
+    __slots__ = ("labels", "hash", "sort_key", "text", "wire")
 
-    def __init__(self, hash_value: int) -> None:
-        self.hash = hash_value
+    def __init__(self, labels: Tuple[str, ...]) -> None:
+        self.labels = labels
+        self.hash = hash(labels)
         self.sort_key: Optional[Tuple[str, ...]] = None
         self.text: Optional[str] = None
         self.wire: Optional[bytes] = None
 
 
-# validated label tuple -> (the one interned tuple, its shared forms).
-_INTERN: Dict[Tuple[str, ...], Tuple[Tuple[str, ...], _NameForms]] = {}
+# validated label tuple -> its shared forms (holding the one interned tuple).
+_INTERN: Dict[Tuple[str, ...], _NameForms] = {}
 
 
 class DnsName:
@@ -98,26 +101,26 @@ class DnsName:
         # table), so the per-label checks can be skipped outright.
         # Unnormalized spellings (e.g. uppercase) miss and fall through.
         if type(labels) is tuple:
-            hit = _INTERN.get(labels)
-            if hit is not None:
-                object.__setattr__(self, "_labels", hit[0])
-                object.__setattr__(self, "_forms", hit[1])
+            forms = _INTERN.get(labels)
+            if forms is not None:
+                object.__setattr__(self, "_labels", forms.labels)
+                object.__setattr__(self, "_forms", forms)
                 return
-        validated = tuple(_validate_label(label) for label in labels)
-        entry = _INTERN.get(validated)
-        if entry is None:
+        validated = tuple(map(_validate_label, labels))
+        forms = _INTERN.get(validated)
+        if forms is None:
             # First sighting of this spelling: run the whole-name length
             # check once, then intern.  Every later construction of an
             # equal name reuses the tuple (pointer-equal) and its hash.
-            presentation_length = sum(len(label) + 1 for label in validated) - 1
+            presentation_length = sum(map(len, validated)) + len(validated) - 1
             if validated and presentation_length > _MAX_NAME:
                 raise NameError_(
                     f"name too long ({presentation_length} > {_MAX_NAME})"
                 )
-            entry = (validated, _NameForms(hash(validated)))
-            _INTERN[validated] = entry
-        object.__setattr__(self, "_labels", entry[0])
-        object.__setattr__(self, "_forms", entry[1])
+            forms = _NameForms(validated)
+            _INTERN[validated] = forms
+        object.__setattr__(self, "_labels", forms.labels)
+        object.__setattr__(self, "_forms", forms)
 
     def __setattr__(self, key: str, value: object) -> None:
         raise AttributeError("DnsName is immutable")

@@ -86,9 +86,12 @@ class Zone:
         elif (rrset.name, RRType.CNAME) in self._records:
             raise ZoneError(f"{rrset.name} already holds a CNAME")
         self._records[key] = rrset
+        # Every name in the set has its ancestors up to the origin in
+        # it too, so the walk stops at the first name already present.
+        names = self._names
         node: DnsName = rrset.name
-        while node != self.origin:
-            self._names.add(node)
+        while node not in names:
+            names.add(node)
             node = node.parent()
 
     def add_records(self, name: DnsName, *rdatas, ttl: Optional[int] = None) -> None:

@@ -95,27 +95,19 @@ class PdnsDatabase:
         key = (rrname, rrtype, rdata)
         existing = self._records.get(key)
         if existing is not None:
-            self._records[key] = PdnsRecord(
-                rrname=rrname,
-                rrtype=rrtype,
-                rdata=rdata,
-                first_seen=min(existing.first_seen, first_seen),
-                last_seen=max(existing.last_seen, last_seen),
-                count=existing.count + count,
-            )
-            return
+            first_seen = min(existing.first_seen, first_seen)
+            last_seen = max(existing.last_seen, last_seen)
+            count += existing.count
         self._records[key] = PdnsRecord(
-            rrname=rrname,
-            rrtype=rrtype,
-            rdata=rdata,
-            first_seen=first_seen,
-            last_seen=last_seen,
-            count=count,
+            rrname, rrtype, rdata, first_seen, last_seen, count
         )
-        if rrname not in self._by_name:
-            self._by_name[rrname] = []
-            self._dirty = True
-        self._by_name[rrname].append(key)
+        if existing is None:
+            keys = self._by_name.get(rrname)
+            if keys is None:
+                self._by_name[rrname] = [key]
+                self._dirty = True
+            else:
+                keys.append(key)
 
     # ------------------------------------------------------------------
     # Retrieval

@@ -185,7 +185,7 @@ class ProviderInstance:
         )
         for origin in base_domains:
             zone = Zone(origin)
-            self_ns = DnsName.parse(f"ns1.{origin}")
+            self_ns = origin.prepend("ns1")
             address = self._planner.next_address(0)
             zone.add_records(origin, NS(self_ns))
             zone.add_records(
@@ -326,7 +326,7 @@ class PrivateHoster:
         addresses = self._planner.plan(count, layout)
         hosts = []
         for index, address in enumerate(addresses, start=1):
-            hostname = DnsName.parse(f"ns{index}.{base}")
+            hostname = base.prepend(f"ns{index}")
             if not self._network.is_attached(address):
                 server = AuthoritativeServer(hostname)
                 self._network.attach(address, server)
@@ -345,7 +345,7 @@ class PrivateHoster:
         addresses = self._planner.plan(count, layout)
         hosts = []
         for index, address in enumerate(addresses, start=1):
-            hostname = DnsName.parse(f"ns{index}.{suffix_label}.{central}")
+            hostname = central.prepend(suffix_label).prepend(f"ns{index}")
             if not self._network.is_attached(address):
                 server = AuthoritativeServer(hostname)
                 self._network.attach(address, server)

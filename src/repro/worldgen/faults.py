@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional, Tuple
 
 from .config import WorldConfig
@@ -92,13 +93,14 @@ class FaultSampler:
     def __init__(self, config: WorldConfig, rng: random.Random) -> None:
         self._config = config
         self._rng = rng
+        weights = config.defect_mode_weights
+        self._modes = list(weights)
+        self._mode_cum = list(accumulate(weights[m] for m in weights))
 
     # ------------------------------------------------------------------
     def _sample_modes(self, count: int) -> Tuple[str, ...]:
-        weights = self._config.defect_mode_weights
-        modes = list(weights)
         return tuple(
-            self._rng.choices(modes, weights=[weights[m] for m in modes], k=count)
+            self._rng.choices(self._modes, cum_weights=self._mode_cum, k=count)
         )
 
     def _sample_consistency(

@@ -287,7 +287,7 @@ class WorldGenerator:
                     self.config.root_addresses[index]
                 )
             else:
-                hostname = DnsName.parse(f"ns{index + 1}.{label}.{origin}")
+                hostname = origin.prepend(label).prepend(f"ns{index + 1}")
                 address = planner.next_address(index, fresh_prefix=True)
             hosts.append(NsHost(hostname, address))
         zone.add_records(origin, *(NS(h.hostname) for h in hosts))
@@ -295,7 +295,11 @@ class WorldGenerator:
             origin,
             SOA(
                 mname=hosts[0].hostname,
-                rname=DnsName.parse(f"hostmaster.{origin}" if not origin.is_root else "nstld.verisign-grs.com."),
+                rname=(
+                    DnsName.parse("nstld.verisign-grs.com.")
+                    if origin.is_root
+                    else origin.prepend("hostmaster")
+                ),
             ),
         )
         for host in hosts:
@@ -333,13 +337,13 @@ class WorldGenerator:
             )
 
     def _registry_zone_for(self, name: DnsName) -> Optional[Zone]:
-        """Longest-match registry zone covering a name."""
-        best: Optional[Zone] = None
-        for origin, zone in self._registry_zones.items():
-            if name.is_subdomain_of(origin):
-                if best is None or len(origin) > len(best.origin):
-                    best = zone
-        return best
+        """Longest-match registry zone covering a name: ancestors come
+        nearest first, so the first one with a zone is the longest."""
+        for ancestor in name.ancestors(include_self=True):
+            zone = self._registry_zones.get(ancestor)
+            if zone is not None:
+                return zone
+        return None
 
     # ==================================================================
     # Providers
@@ -445,6 +449,7 @@ class WorldGenerator:
         suffix_zones: Dict[str, Zone] = {}
         self._country_planners: Dict[str, AddressPlanner] = {}
         self._private_hosters: Dict[str, PrivateHoster] = {}
+        self._suffix_names: Dict[str, DnsName] = {}
 
         for profile in self._profiles:
             planner = self._new_planner(
@@ -478,6 +483,7 @@ class WorldGenerator:
                     )
                 )
             suffix_name = DnsName.parse(profile.gov_suffix)
+            self._suffix_names[profile.iso2] = suffix_name
             if not profile.seed_is_registered_domain:
                 policy.add_suffix(
                     SuffixPolicy(
@@ -579,12 +585,12 @@ class WorldGenerator:
         name = DnsName.parse(fqdn)
         domain = name.parent()
         com_zone = self._registry_zones[DnsName.parse("com")]
-        ns_host = DnsName.parse(f"ns1.{domain}")
+        ns_host = domain.prepend("ns1")
         address = self._infra_planner.next_address(1)
         zone = Zone(domain)
         zone.add_records(domain, NS(ns_host))
         zone.add_records(
-            domain, SOA(mname=ns_host, rname=DnsName.parse(f"ads.{domain}"))
+            domain, SOA(mname=ns_host, rname=domain.prepend("ads"))
         )
         zone.add_records(ns_host, A(address))
         zone.add_records(name, A(address))
@@ -610,7 +616,6 @@ class WorldGenerator:
         builder = HistoryBuilder(self.config, self._profiles)
         result = builder.build()
         builder.emit_pdns(result, self._pdns)
-        self._history_builder = builder
         return result
 
     # ==================================================================
@@ -649,10 +654,7 @@ class WorldGenerator:
                 )
                 continue
 
-            is_intermediate = (
-                domain.level == 3 and domain.name.labels[0].startswith("region")
-            )
-            if not is_intermediate and (
+            if not _is_intermediate(domain) and (
                 domain.death_year is not None
                 or rng.random() < self._removal_top_up()
             ):
@@ -721,13 +723,12 @@ class WorldGenerator:
         # but never stale — a stale intermediate would orphan its whole
         # subtree, and the orphan population is budgeted by the cluster
         # mechanism instead.
-        is_intermediate = domain.name in self._intermediate_names(domain)
         plan = self._fault_sampler.plan_for(
             profile,
             domain.level,
             era.ns_count,
             domain.single_ns,
-            force_stale=False if is_intermediate else force_stale,
+            force_stale=False if _is_intermediate(domain) else force_stale,
         )
 
         layout = (
@@ -755,7 +756,7 @@ class WorldGenerator:
             spec = self._provider_instances[provider_key].spec
             if spec.soa_rname:
                 soa_rname = DnsName.parse(spec.soa_rname)
-            if getattr(era, "vanity", False):
+            if era.vanity:
                 # The SOA is where a vanity-branded managed-DNS
                 # deployment still names its operator.
                 soa_mname = DnsName.parse(spec.make_ns_set(1)[0])
@@ -769,13 +770,11 @@ class WorldGenerator:
                 mname=soa_mname
                 if soa_mname is not None
                 else (
-                    child_ns[0]
-                    if child_ns
-                    else DnsName.parse(f"ns1.{domain.name}")
+                    child_ns[0] if child_ns else domain.name.prepend("ns1")
                 ),
                 rname=soa_rname
                 if soa_rname is not None
-                else DnsName.parse(f"hostmaster.{domain.name}"),
+                else domain.name.prepend("hostmaster"),
             ),
         )
         zone.add(
@@ -787,14 +786,13 @@ class WorldGenerator:
             )
         )
         zone.add_records(
-            DnsName.parse(f"www.{domain.name}"),
-            A(self._shared_web_address(profile)),
+            domain.name.prepend("www"), A(self._shared_web_address(profile))
         )
         # In-bailiwick A records (both healthy and alias hosts); hosts
         # named under the government suffix but outside this domain
         # (central shared sets, legacy leftovers) publish their A
         # records in the suffix zone instead.
-        suffix_obj = self._registry_zones.get(DnsName.parse(profile.gov_suffix))
+        suffix_obj = self._registry_zones.get(self._suffix_names[profile.iso2])
         for host in list(ns_set.hosts) + extra_hosts:
             if host.hostname.is_subdomain_of(domain.name):
                 if zone.get(host.hostname, RRType.A) is None:
@@ -849,13 +847,6 @@ class WorldGenerator:
             dangling_ns_domains=tuple(dangling),
         )
 
-    def _intermediate_names(self, domain: DomainHistory) -> frozenset:
-        # Intermediates carry the region label prefix assigned by the
-        # history builder.
-        if domain.level == 3 and domain.name.labels[0].startswith("region"):
-            return frozenset((domain.name,))
-        return frozenset()
-
     # ------------------------------------------------------------------
     def _healthy_set(
         self,
@@ -875,14 +866,11 @@ class WorldGenerator:
                 ns_set = NsSet(full.hosts[:1], NsLayout.SINGLE_IP)
                 return ns_set, style, provider_key
             drawn = instance.draw_set(layout)
-            if getattr(era, "vanity", False):
+            if era.vanity:
                 # Vanity branding: in-bailiwick names fronting the
                 # provider's addresses; only the SOA names the operator.
                 vanity_hosts = tuple(
-                    NsHost(
-                        DnsName.parse(f"ns{i + 1}.{domain.name}"),
-                        host.address,
-                    )
+                    NsHost(domain.name.prepend(f"ns{i + 1}"), host.address)
                     for i, host in enumerate(drawn.hosts)
                 )
                 return NsSet(vanity_hosts, drawn.layout), style, provider_key
@@ -901,8 +889,9 @@ class WorldGenerator:
         # Private.
         ns_count = 1 if domain.single_ns else era.ns_count
         if layout == NsLayout.SINGLE_IP and not domain.single_ns and rng.random() < 0.6:
-            suffix = DnsName.parse(profile.gov_suffix)
-            ns_set = hoster.shared_set(suffix, max(2, ns_count), layout)
+            ns_set = hoster.shared_set(
+                self._suffix_names[profile.iso2], max(2, ns_count), layout
+            )
         else:
             ns_set = hoster.build_set(domain.name, ns_count, layout)
         return ns_set, STYLE_PRIVATE, None
@@ -951,6 +940,7 @@ class WorldGenerator:
         """
         serial = self._next_broken_serial()
         planner = self._country_planners[profile.iso2]
+        suffix = self._suffix_names[profile.iso2]
 
         if mode == DefectMode.UNRESOLVABLE:
             # Most unresolvable nameservers are governments' own dead
@@ -959,23 +949,19 @@ class WorldGenerator:
             third_party = rng.random() < third_party_p
             if third_party:
                 dangling_domain = self._draw_dangling_domain(profile, rng)
-                hostname = DnsName.parse(f"ns{serial % 4 + 1}.{dangling_domain}")
+                hostname = dangling_domain.prepend(f"ns{serial % 4 + 1}")
                 address = planner.next_address(0)  # never used: unresolvable
                 return NsHost(hostname, address), dangling_domain
             # Government-internal dead name: no glue, no zone, NXDOMAIN.
-            hostname = DnsName.parse(
-                f"ns1.defunct{serial}.{profile.gov_suffix}"
-            )
+            hostname = suffix.prepend(f"defunct{serial}").prepend("ns1")
             return NsHost(hostname, planner.next_address(0)), None
 
-        hostname = DnsName.parse(f"old-ns{serial}.{profile.gov_suffix}")
+        hostname = suffix.prepend(f"old-ns{serial}")
         address = planner.next_address(0, fresh_prefix=False)
         # Whatever the failure mode, the hostname itself must resolve
         # (that is what distinguishes unresponsive/lame from
         # unresolvable): publish an A record in the suffix zone.
-        suffix_zone = self._registry_zones.get(
-            DnsName.parse(profile.gov_suffix)
-        )
+        suffix_zone = self._registry_zones.get(suffix)
         if suffix_zone is not None and suffix_zone.get(hostname, RRType.A) is None:
             suffix_zone.add_records(hostname, A(address))
         if mode == DefectMode.UNRESPONSIVE:
@@ -1060,7 +1046,7 @@ class WorldGenerator:
         elif consistency == Consistency.DISJOINT_IP_OVERLAP:
             renamed = []
             for index, host in enumerate(ns_set.hosts, start=1):
-                alias = DnsName.parse(f"edge{index}.{domain.name}")
+                alias = domain.name.prepend(f"edge{index}")
                 renamed.append(NsHost(alias, host.address))
             extra_hosts.extend(renamed)
             parent_ns = [h.hostname for h in renamed]
@@ -1102,13 +1088,12 @@ class WorldGenerator:
         """A parent-only nameserver (an old deployment's leftover) that
         still works — it will be loaded with the zone."""
         serial = self._next_broken_serial()
-        hostname = DnsName.parse(f"legacy-ns{serial}.{profile.gov_suffix}")
+        suffix = self._suffix_names[profile.iso2]
+        hostname = suffix.prepend(f"legacy-ns{serial}")
         address = self._country_planners[profile.iso2].next_address(1)
         server = AuthoritativeServer(hostname)
         self._network.attach(address, server)
-        suffix_zone = self._registry_zones.get(
-            DnsName.parse(profile.gov_suffix)
-        )
+        suffix_zone = self._registry_zones.get(suffix)
         if suffix_zone is not None and suffix_zone.get(hostname, RRType.A) is None:
             suffix_zone.add_records(hostname, A(address))
         return NsHost(hostname, address), None
@@ -1253,7 +1238,7 @@ class WorldGenerator:
     ) -> None:
         """Attach an expired-provider nameserver that still answers for
         the victim zones, listed only in the parents' NS sets."""
-        hostname = DnsName.parse(f"pns1.{dns_domain}")
+        hostname = dns_domain.prepend("pns1")
         address = self._infra_planner.next_address(0, fresh_prefix=True)
         server = AuthoritativeServer(hostname)
         self._network.attach(address, server)
@@ -1267,7 +1252,7 @@ class WorldGenerator:
         provider_zone.add_records(dns_domain, NS(hostname))
         provider_zone.add_records(
             dns_domain,
-            SOA(mname=hostname, rname=DnsName.parse(f"hostmaster.{dns_domain}")),
+            SOA(mname=hostname, rname=dns_domain.prepend("hostmaster")),
         )
         provider_zone.add_records(hostname, A(address))
         server.load_zone(provider_zone)
@@ -1304,6 +1289,12 @@ class WorldGenerator:
         if zone is not None:
             return zone
         return self._registry_zones.get(truth.parent)
+
+
+def _is_intermediate(domain: DomainHistory) -> bool:
+    """Intermediates carry the region label prefix the history builder
+    assigns to level-3 zones."""
+    return domain.level == 3 and domain.name.labels[0].startswith("region")
 
 
 def hashabs(text: str) -> int:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dns.name import DnsName
@@ -174,9 +175,17 @@ class HistoryBuilder:
         self._config = config
         self._profiles = list(profiles)
         self._providers = list(providers)
+        self._specs = {spec.key: spec for spec in self._providers}
         self._rng = random.Random(config.seed * 1_000_003 + 17)
         self._adoption = self._build_adoption_years()
         self._ns_serial = 0
+        # (iso2, clamped year) → (keys, cum_weights) for provider draws.
+        self._provider_tables: Dict[
+            Tuple[str, int], Tuple[List[Optional[str]], List[float]]
+        ] = {}
+        counts = config.ns_count_weights
+        self._ns_counts = list(counts)
+        self._ns_count_cum = list(accumulate(counts[c] for c in counts))
 
     # ------------------------------------------------------------------
     # Provider geographic adoption
@@ -292,6 +301,27 @@ class HistoryBuilder:
         weights.append((None, local_weight))
         return weights
 
+    def _provider_table(
+        self, profile: CountryProfile, year: int
+    ) -> Tuple[List[Optional[str]], List[float]]:
+        """``_provider_weights`` as (keys, cum_weights), built once per
+        (country, clamped year).
+
+        ``choices(keys, cum_weights=…)`` runs exactly what
+        ``choices(keys, weights=…)`` runs after accumulating, so a draw
+        from the table consumes and picks as a fresh computation would.
+        """
+        key = (profile.iso2, min(max(year, 2011), 2020))
+        table = self._provider_tables.get(key)
+        if table is None:
+            weights = self._provider_weights(profile, key[1])
+            table = (
+                [provider for provider, _ in weights],
+                list(accumulate(weight for _, weight in weights)),
+            )
+            self._provider_tables[key] = table
+        return table
+
     def _sample_style(
         self, profile: CountryProfile, year: int, single_ns: bool
     ) -> Tuple[str, Optional[str]]:
@@ -301,10 +331,8 @@ class HistoryBuilder:
         )
         if self._rng.random() < private_p:
             return STYLE_PRIVATE, None
-        choices = self._provider_weights(profile, year)
-        keys = [key for key, _ in choices]
-        weights = [weight for _, weight in choices]
-        picked = self._rng.choices(keys, weights=weights, k=1)[0]
+        keys, cum_weights = self._provider_table(profile, year)
+        picked = self._rng.choices(keys, cum_weights=cum_weights, k=1)[0]
         if picked is None:
             return STYLE_LOCAL, None
         return STYLE_PROVIDER, picked
@@ -312,10 +340,8 @@ class HistoryBuilder:
     def _sample_ns_count(self, single_ns: bool) -> int:
         if single_ns:
             return 1
-        weights = self._config.ns_count_weights
-        counts = list(weights)
         return self._rng.choices(
-            counts, weights=[weights[c] for c in counts], k=1
+            self._ns_counts, cum_weights=self._ns_count_cum, k=1
         )[0]
 
     def _era_hostnames(
@@ -331,12 +357,11 @@ class HistoryBuilder:
             # Vanity-branded managed DNS: in-bailiwick names fronting
             # the provider's servers.
             return tuple(
-                f"ns{i + 1}.{domain_name}".rstrip(".") + "."
-                for i in range(max(2, ns_count))
+                f"ns{i + 1}.{domain_name}" for i in range(max(2, ns_count))
             )
         if style == STYLE_PROVIDER:
             assert provider_key is not None
-            spec = next(p for p in self._providers if p.key == provider_key)
+            spec = self._specs[provider_key]
             pool = max(4, self._config.provider_pool_sets // 4)
             set_index = self._rng.randrange(1, pool + 1)
             hostnames = spec.make_ns_set(set_index)
@@ -345,10 +370,7 @@ class HistoryBuilder:
             hoster_index = self._rng.randrange(1, 4)
             base = f"webhost{hoster_index}.{profile.cctld}"
             return tuple(f"ns{i + 1}.{base}" for i in range(ns_count))
-        return tuple(
-            f"ns{i + 1}.{domain_name}".rstrip(".") + "."
-            for i in range(ns_count)
-        )
+        return tuple(f"ns{i + 1}.{domain_name}" for i in range(ns_count))
 
     def _make_era(
         self,
@@ -393,11 +415,12 @@ class HistoryBuilder:
     def _domain_name(
         self,
         profile: CountryProfile,
+        suffix: DnsName,
         disposable: bool,
         intermediates: List[DnsName],
     ) -> Tuple[DnsName, int, DnsName]:
-        """(name, level, parent-zone origin) for a new domain."""
-        suffix = DnsName.parse(profile.gov_suffix)
+        """(name, level, parent-zone origin) for a new domain under the
+        country's government ``suffix``."""
         label = (
             self._disposable_label() if disposable else self._fresh_label()
         )
@@ -523,7 +546,7 @@ class HistoryBuilder:
                 disposable = rng.random() < config.disposable_rate
                 single = (not disposable) and rng.random() < profile.single_ns_rate
                 name, level, parent = self._domain_name(
-                    profile, disposable, intermediates
+                    profile, suffix, disposable, intermediates
                 )
                 era = self._make_era(name, profile, year, single)
                 era.start_year = year
@@ -543,12 +566,13 @@ class HistoryBuilder:
                 alive.append(history)
                 all_domains.append(history)
 
-        clusters = self._carve_clusters(profile, alive, all_domains)
+        clusters = self._carve_clusters(profile, suffix, alive, all_domains)
         return all_domains, clusters
 
     def _carve_clusters(
         self,
         profile: CountryProfile,
+        suffix: DnsName,
         alive: List[DomainHistory],
         all_domains: List[DomainHistory],
     ) -> List[ClusterInfo]:
@@ -574,7 +598,6 @@ class HistoryBuilder:
             return []
         clusters: List[ClusterInfo] = []
         per_cluster = 25 if want >= 25 else want
-        suffix = DnsName.parse(profile.gov_suffix)
         assigned = 0
         cluster_index = 0
         pool = list(window)
@@ -638,25 +661,26 @@ class HistoryBuilder:
         """
         config = self._config
         rng = random.Random(config.seed * 7_368_787 + 3)
+        # Eras start in 2011-2020 and end by 2021; transients use YEARS.
+        year_start = {
+            year: date_to_epoch(year) for year in range(YEARS[0], YEARS[-1] + 2)
+        }
         rows = 0
         for domain in result.domains:
             for index, era in enumerate(domain.eras):
-                first = date_to_epoch(era.start_year) + rng.uniform(
+                first = year_start[era.start_year] + rng.uniform(
                     0, 180 * SECONDS_PER_DAY
                 )
                 if era.end_year >= 2021:
                     last = PROBE_EPOCH - rng.uniform(0, 20 * SECONDS_PER_DAY)
                 else:
-                    last = date_to_epoch(era.end_year + 1) - rng.uniform(
-                        0, 180 * SECONDS_PER_DAY
-                    )
+                    next_start = year_start[era.end_year + 1]
+                    last = next_start - rng.uniform(0, 180 * SECONDS_PER_DAY)
                     if index < len(domain.eras) - 1 and rng.random() < 0.5:
                         # Update lag: a replaced NS set keeps being
                         # observed (cached referrals, slow parent
                         # cleanup) well into the successor's first year.
-                        last = date_to_epoch(era.end_year + 1) + rng.uniform(
-                            30, 150
-                        ) * SECONDS_PER_DAY
+                        last = next_start + rng.uniform(30, 150) * SECONDS_PER_DAY
                 if last <= first:
                     last = first + 30 * SECONDS_PER_DAY
                 for hostname in era.ns_hostnames:
@@ -684,9 +708,7 @@ class HistoryBuilder:
                     # Vanity deployments hide the provider in the NS
                     # names; the SOA still names it (MNAME/RNAME), which
                     # is the signal §IV-B's identification exploits.
-                    spec = next(
-                        p for p in PROVIDERS if p.key == era.provider_key
-                    )
+                    spec = self._specs[era.provider_key]
                     mname = spec.make_ns_set(1)[0].rstrip(".") + "."
                     rname = (
                         spec.soa_rname.rstrip(".") + "."
@@ -703,9 +725,7 @@ class HistoryBuilder:
                     rows += 1
             if rng.random() < config.transient_record_rate:
                 year = rng.choice(YEARS)
-                start = date_to_epoch(year) + rng.uniform(
-                    0, 300 * SECONDS_PER_DAY
-                )
+                start = year_start[year] + rng.uniform(0, 300 * SECONDS_PER_DAY)
                 duration = rng.uniform(0.2, config.transient_max_days)
                 database.observe_span(
                     domain.name,

@@ -1,5 +1,7 @@
 """Tests for the longitudinal history builder."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.dns.rdata import RRType
@@ -8,6 +10,7 @@ from repro.pdns.database import PdnsDatabase
 from repro.pdns.filtering import stable_records
 from repro.worldgen.config import YEARS, WorldConfig
 from repro.worldgen.countries import build_profiles
+from repro.worldgen.providers import PROVIDERS
 from repro.worldgen.history import (
     STYLE_LOCAL,
     STYLE_PRIVATE,
@@ -170,3 +173,27 @@ class TestPdnsEmission:
         for row in all_rows:
             if row.rdata.startswith("tmp-ns."):
                 assert row.duration < 7 * SECONDS_PER_DAY
+
+    def test_vanity_soa_uses_the_builders_own_providers(self):
+        # A catalog whose keys are not in the module-level PROVIDERS:
+        # emission must find each vanity era's spec in the builder's
+        # own providers (it raised a bare StopIteration before).
+        providers = [replace(p, key=p.key + "-x") for p in PROVIDERS]
+        builder = HistoryBuilder(
+            WorldConfig(seed=11, scale=0.01), build_profiles(), providers=providers
+        )
+        result = builder.build()
+        vanity = [
+            (domain, era)
+            for domain in result.domains
+            for era in domain.eras
+            if era.vanity
+        ]
+        assert vanity
+        db = PdnsDatabase()
+        builder.emit_pdns(result, db)
+        specs = {spec.key: spec for spec in providers}
+        for domain, era in vanity:
+            mname = specs[era.provider_key].make_ns_set(1)[0].rstrip(".") + "."
+            rdatas = [row.rdata for row in db.lookup(domain.name, RRType.SOA)]
+            assert any(rdata.startswith(mname + " ") for rdata in rdatas)
