@@ -9,7 +9,11 @@ Two representations coexist:
 * The **dict-of-results view** (``dataset.results``) is canonical: the
   prober produces it, :func:`repro.core.journal.dataset_digest`
   serializes it, and every byte of the committed digests depends on it
-  alone.  Nothing about the columnar store can perturb a digest.
+  alone.  A dataset decoded from serialized results (the sharded
+  merge) also keeps the canonical rows it was decoded from
+  (``dataset.rows``), so the digest streams those instead of
+  serializing every result a second time; either way the bytes are
+  the same.  Nothing about the columnar store can perturb a digest.
 * The **columnar store** (:class:`DatasetColumns`, reached via
   ``dataset.columns``) is a derived index built lazily on first use:
   one fused pass over the results computes every per-domain verdict
@@ -567,17 +571,28 @@ class DatasetColumns:
 class MeasurementDataset:
     """The full campaign's results plus simple accessors.
 
-    ``results`` is the canonical store (it alone feeds the dataset
-    digest); ``columns`` is the lazily-built columnar index the §IV
-    analyses sweep.  Treat a dataset as frozen once built — mutating
-    ``results`` after the columns materialize would desynchronize the
-    two views.
+    ``results`` is the canonical store; ``columns`` is the lazily-built
+    columnar index the §IV analyses sweep.  ``rows``, when set, holds
+    each result's canonical row (:func:`repro.core.journal.result_row`)
+    in ``results`` order: the bytes the results were decoded from,
+    kept so the digest need not serialize them again.  Treat a dataset
+    as frozen once built — mutating ``results`` would desynchronize it
+    from its columns and its rows.
     """
 
     results: Dict[DnsName, ProbeResult]
+    rows: Optional[Tuple[bytes, ...]] = field(
+        default=None, repr=False, compare=False
+    )
     _columns: Optional[DatasetColumns] = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        if self.rows is not None and len(self.rows) != len(self.results):
+            raise ValueError(
+                f"{len(self.rows)} rows for {len(self.results)} results"
+            )
 
     @property
     def columns(self) -> DatasetColumns:
@@ -608,6 +623,9 @@ class MeasurementDataset:
         merges shards from different epochs fails with both the epoch
         and the shard named in the error instead of an anonymous
         ``shard N`` collision.
+
+        The merge keeps canonical rows when every non-empty part has
+        them, reordered alongside their results.
         """
         materialized = list(parts)
         if labels is None:
@@ -621,7 +639,7 @@ class MeasurementDataset:
         if epoch is not None:
             names = [f"epoch {epoch} {name}" for name in names]
         domains: List[DnsName] = []
-        rows: List[ProbeResult] = []
+        results: List[ProbeResult] = []
         owner: Dict[DnsName, int] = {}
         for index, part in enumerate(materialized):
             for domain, result in part.results.items():
@@ -633,9 +651,13 @@ class MeasurementDataset:
                     )
                 owner[domain] = index
                 domains.append(domain)
-                rows.append(result)
+                results.append(result)
         order = sorted(range(len(domains)), key=domains.__getitem__)
-        return cls({domains[i]: rows[i] for i in order})
+        rows: Optional[Tuple[bytes, ...]] = None
+        if all(part.rows is not None for part in materialized if part.results):
+            kept = [row for part in materialized for row in part.rows or ()]
+            rows = tuple(kept[i] for i in order)
+        return cls({domains[i]: results[i] for i in order}, rows)
 
     def __len__(self) -> int:
         return len(self.results)

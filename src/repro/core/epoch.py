@@ -287,7 +287,6 @@ class EpochRunner:
             probe_targets = dict(self._targets)
 
         dataset, counters = self._probe(probe_targets, epoch)
-        probed: Dict[DnsName, object] = dict(dataset.results)
 
         escalated: List[str] = []
         if self._incremental:
@@ -310,19 +309,23 @@ class EpochRunner:
                     domain: iso2
                     for iso2 in escalated
                     for domain in self._cohorts[iso2]
-                    if domain not in probed
+                    if domain not in dataset
                 }
                 extra, extra_counters = self._probe(escalate_targets, epoch)
                 counters += extra_counters
-                probed.update(extra.results)
+                dataset = MeasurementDataset.merge(
+                    [dataset, extra],
+                    labels=["probe", "escalation"],
+                    epoch=epoch,
+                )
 
-        delta = self._dataset.append_epoch(probed)  # type: ignore[arg-type]
+        delta = self._dataset.append_epoch(dataset)
         responsive = self._dataset.columns_at(epoch).responsive.count(1)
         self._epoch = epoch
         return self._record(
             counters,
             epoch=epoch,
-            probed=len(probed),
+            probed=len(dataset),
             flagged=len(flagged),
             audited=len(audit),
             changed=len(delta.changed),

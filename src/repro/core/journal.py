@@ -69,10 +69,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from ..dns.name import DnsName, parse_cached
-from ..inet.address import IPv4Address
+from ..inet.address import IPv4Address, parse_address_cached
 from ..net.network import Network
 from .dataset import MeasurementDataset, ProbeResult, ServerProbe
 
@@ -81,8 +90,10 @@ __all__ = [
     "JOURNAL_VERSION",
     "campaign_digest",
     "dataset_digest",
+    "dataset_rows",
     "digest_rows",
     "result_from_dict",
+    "result_from_row",
     "result_row",
     "result_to_dict",
     "read_shard_manifest",
@@ -145,13 +156,32 @@ def result_to_dict(result: ProbeResult) -> Dict[str, Any]:
     }
 
 
+def _by_address(entries: Mapping[str, Any]) -> Dict[IPv4Address, Any]:
+    """An address-keyed map, in address order as serialized by
+    :func:`result_to_dict` (a canonical row re-sorts keys as text)."""
+    if not entries:
+        return {}
+    items = [
+        (parse_address_cached(text), value) for text, value in entries.items()
+    ]
+    if len(items) > 1:
+        items.sort(key=lambda item: item[0].value)
+    return dict(items)
+
+
+def _names(texts: List[str]) -> Tuple[DnsName, ...]:
+    return tuple(parse_cached(text) for text in texts)
+
+
 def result_from_dict(data: Mapping[str, Any]) -> ProbeResult:
     """Inverse of :func:`result_to_dict`.
 
-    Names go through :func:`~repro.dns.name.parse_cached` — the sharded
-    merge path deserializes thousands of results whose hostnames repeat
-    heavily (co-hosted NS infrastructure), so parsing each distinct
-    spelling once matters.
+    Names and addresses go through memoized parsers
+    (:func:`~repro.dns.name.parse_cached`,
+    :func:`~repro.inet.address.parse_address_cached`): a sharded merge
+    decodes thousands of results whose hostnames and addresses repeat
+    heavily (co-hosted NS infrastructure), so each distinct spelling
+    is parsed once.
     """
     servers: Dict[DnsName, ServerProbe] = {}
     for entry in data["servers"]:
@@ -160,27 +190,21 @@ def result_from_dict(data: Mapping[str, Any]) -> ProbeResult:
             hostname=hostname,
             resolvable=entry["resolvable"],
             addresses=tuple(
-                IPv4Address.parse(a) for a in entry["addresses"]
+                parse_address_cached(a) for a in entry["addresses"]
             ),
-            outcomes={
-                IPv4Address.parse(a): o
-                for a, o in entry["outcomes"].items()
-            },
+            outcomes=_by_address(entry["outcomes"]),
             ns_by_address={
-                IPv4Address.parse(a): tuple(parse_cached(n) for n in ns)
-                for a, ns in entry["ns_by_address"].items()
+                address: _names(ns)
+                for address, ns in _by_address(entry["ns_by_address"]).items()
             },
-            prior_outcomes={
-                IPv4Address.parse(a): o
-                for a, o in entry["prior_outcomes"].items()
-            },
+            prior_outcomes=_by_address(entry["prior_outcomes"]),
         )
     return ProbeResult(
         domain=parse_cached(data["domain"]),
         iso2=data["iso2"],
         parent_status=data["parent_status"],
-        parent_ns=tuple(parse_cached(h) for h in data["parent_ns"]),
-        child_ns=tuple(parse_cached(h) for h in data["child_ns"]),
+        parent_ns=_names(data["parent_ns"]),
+        child_ns=_names(data["child_ns"]),
         servers=servers,
         queries_sent=data["queries_sent"],
         retried=data["retried"],
@@ -189,10 +213,30 @@ def result_from_dict(data: Mapping[str, Any]) -> ProbeResult:
 
 def result_row(result: ProbeResult) -> bytes:
     """One result's canonical row: the compact sorted-keys JSON of
-    :func:`result_to_dict`.  Digests are computed over these rows."""
+    :func:`result_to_dict`.  Digests are computed over these rows, and
+    sharded workers ship them to the parent."""
     return json.dumps(
         result_to_dict(result), sort_keys=True, separators=(",", ":")
     ).encode()
+
+
+def result_from_row(row: bytes) -> ProbeResult:
+    """Inverse of :func:`result_row`: ``result_row`` of the decoded
+    result is ``row`` again, byte for byte."""
+    return result_from_dict(json.loads(row))
+
+
+def dataset_rows(dataset: MeasurementDataset) -> Iterator[Tuple[DnsName, bytes]]:
+    """Every ``(domain, canonical row)`` of ``dataset``, in admission
+    (sorted-domain) order: the kept rows when the results arrived
+    serialized, otherwise :func:`result_row` of each result, one at a
+    time.  The one source of rows for digests and delta chains."""
+    results = dataset.results
+    if dataset.rows is not None:
+        yield from sorted(zip(results, dataset.rows))
+        return
+    for domain in sorted(results):
+        yield domain, result_row(results[domain])
 
 
 def digest_rows(rows: Iterable[bytes]) -> str:
@@ -218,9 +262,7 @@ def dataset_digest(dataset: MeasurementDataset) -> str:
     This is the byte-identity yardstick the resume contract (and the CI
     chaos-smoke job) is stated in.
     """
-    return digest_rows(
-        result_row(r) for _, r in sorted(dataset.results.items())
-    )
+    return digest_rows(row for _, row in dataset_rows(dataset))
 
 
 def campaign_digest(

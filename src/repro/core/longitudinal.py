@@ -19,12 +19,14 @@ plausibly changed.  This module is the storage layer for that loop:
   digest of its materialization *and* a chain digest binding the delta
   history, so any replay divergence is pinpointed to its first epoch.
 * **Rows serialized once.**  The dataset keeps each domain's current
-  canonical row (:func:`~repro.core.journal.result_row`).  An epoch
-  serializes only its probed results, compares them byte-for-byte
-  against the stored rows, and streams the epoch digest over the stored
-  rows in the fixed universe order.  Rows are captured when a result is
-  appended, so mutating a :class:`ProbeResult` afterwards does not
-  change later digests — results are treated as frozen.
+  canonical row (:func:`~repro.core.journal.result_row`), taken from
+  :func:`~repro.core.journal.dataset_rows`: a sharded probe's shipped
+  rows are kept as they arrived, an inline probe's results are
+  serialized once.  An epoch compares its probed rows byte-for-byte
+  against the stored rows, and streams the epoch digest over the
+  stored rows in the fixed universe order.  Rows are captured when a
+  result is appended, so mutating a :class:`ProbeResult` afterwards
+  does not change later digests — results are treated as frozen.
 
 The headline contract — property-tested across seeds × epochs × shard
 counts — is that ``as_of(k)``'s digest is byte-identical to a
@@ -39,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..dns.name import DnsName
 from .dataset import DatasetColumns, MeasurementDataset, ProbeResult
-from .journal import digest_rows, result_row
+from .journal import dataset_rows, digest_rows, result_row
 
 __all__ = ["EpochDelta", "LongitudinalDataset"]
 
@@ -67,11 +69,9 @@ class LongitudinalDataset:
         self._base_results: Dict[DnsName, ProbeResult] = dict(base.results)
         self._latest: Dict[DnsName, ProbeResult] = dict(base.results)
         self._origin: Dict[DnsName, int] = {d: 0 for d in base.results}
-        # Each domain's current canonical row, and the digest order.
-        self._rows: Dict[DnsName, bytes] = {
-            d: result_row(r) for d, r in base.results.items()
-        }
-        self._order: Tuple[DnsName, ...] = tuple(sorted(base.results))
+        # Each domain's current canonical row, keyed in the fixed
+        # universe order the digest streams them in.
+        self._rows: Dict[DnsName, bytes] = dict(dataset_rows(base))
         self._deltas: List[EpochDelta] = []
         base_digest = self._current_digest()
         self._digests: List[str] = [base_digest]
@@ -126,10 +126,7 @@ class LongitudinalDataset:
     # ------------------------------------------------------------------
     # Append
     # ------------------------------------------------------------------
-    def append_epoch(
-        self,
-        probed: Dict[DnsName, ProbeResult],
-    ) -> EpochDelta:
+    def append_epoch(self, probed: MeasurementDataset) -> EpochDelta:
         """Fold one epoch's re-probe results into the chain.
 
         ``probed`` holds every result measured this epoch; rows whose
@@ -139,7 +136,7 @@ class LongitudinalDataset:
         contract is a fixed universe.
         """
         epoch = self.epochs
-        outside = sorted(d for d in probed if d not in self._rows)
+        outside = sorted(d for d in probed.results if d not in self._rows)
         if outside:
             # Checked before any state moves: a rejected batch leaves
             # the chain exactly as it was.
@@ -151,12 +148,12 @@ class LongitudinalDataset:
         changed: Dict[DnsName, ProbeResult] = {}
         changed_rows: List[bytes] = []
         responsive_changed: List[DnsName] = []
-        order = tuple(sorted(probed))
-        for domain in order:
-            result = probed[domain]
-            row = result_row(result)
+        order: List[DnsName] = []
+        for domain, row in dataset_rows(probed):
+            order.append(domain)
             if row == self._rows[domain]:
                 continue
+            result = probed.results[domain]
             changed[domain] = result
             changed_rows.append(row)
             if result.responsive != self._latest[domain].responsive:
@@ -173,7 +170,7 @@ class LongitudinalDataset:
         delta = EpochDelta(
             epoch=epoch,
             changed=changed,
-            probed=order,
+            probed=tuple(order),
             responsive_changed=tuple(responsive_changed),
             epoch_digest=epoch_digest,
             chain_digest=chain,
@@ -185,7 +182,7 @@ class LongitudinalDataset:
 
     def _current_digest(self) -> str:
         """The dataset digest of the current rows, in universe order."""
-        return digest_rows(self._rows[d] for d in self._order)
+        return digest_rows(self._rows.values())
 
     # ------------------------------------------------------------------
     # Materialization

@@ -228,6 +228,73 @@ class _Task:
         self.batch: Optional[_SweepBatch] = None
 
 
+class _Series:
+    """One query series in flight: the first attempt plus its
+    retransmissions.
+
+    The network holds the bound :meth:`complete` while an exchange is
+    pending and the scheduler holds :meth:`send` while a backoff waits;
+    nothing the series references points back at it, so a finished
+    series dies by refcount.  A retransmit closure and a completion
+    closure that name each other would instead make every series a
+    reference cycle, garbage only the cycle collector can free.
+    """
+
+    __slots__ = ("driver", "task", "address", "on_final", "attempts_left")
+
+    def __init__(
+        self,
+        driver: "_CampaignDriver",
+        task: _Task,
+        address: IPv4Address,
+        on_final: Callable[[Optional[Message]], None],
+    ) -> None:
+        self.driver = driver
+        self.task = task
+        self.address = address
+        self.on_final = on_final
+        self.attempts_left = driver._attempts
+
+    def send(self) -> None:
+        driver = self.driver
+        driver._network.send(
+            self.address,
+            self.task.message,
+            source=driver._prober._source,
+            timeout=driver._timeout,
+            on_complete=self.complete,
+        )
+
+    def complete(self, exchange: PendingExchange) -> None:
+        driver = self.driver
+        prober = driver._prober
+        self.attempts_left -= 1
+        if exchange.response is None and self.attempts_left > 0:
+            # Retransmit, reusing the already-built query message.
+            # With no backoff policy (the default) the retransmit
+            # happens at the timeout instant via a direct re-send —
+            # no extra scheduler event, bit-identical to the
+            # historical engine.
+            prober.resilience.retransmits += 1
+            delay = prober._backoff_delay(
+                driver._attempts - self.attempts_left
+            )
+            if delay > 0.0:
+                prober.resilience.backoff_wait_seconds += delay
+                driver._scheduler.schedule_in(delay, self.send)
+            else:
+                self.send()
+            return
+        address = self.address
+        breaker = prober._breaker
+        if breaker is not None:
+            breaker.record_outcome(address, exchange.response is not None)
+        driver._in_flight -= 1
+        driver._busy.discard(address)
+        driver._wake_stalled(address)
+        self.on_final(exchange.response)
+
+
 class _CampaignDriver:
     """Drives probe tasks over the event scheduler.
 
@@ -426,43 +493,7 @@ class _CampaignDriver:
         task.queries += 1
         self._in_flight += 1
         self._busy.add(address)
-        attempts_left = [self._attempts]
-
-        def retransmit() -> None:
-            self._network.send(
-                address,
-                task.message,
-                source=prober._source,
-                timeout=self._timeout,
-                on_complete=callback,
-            )
-
-        def callback(exchange: PendingExchange) -> None:
-            attempts_left[0] -= 1
-            if exchange.response is None and attempts_left[0] > 0:
-                # Retransmit, reusing the already-built query message.
-                # With no backoff policy (the default) the retransmit
-                # happens at the timeout instant via a direct re-send —
-                # no extra scheduler event, bit-identical to the
-                # historical engine.
-                prober.resilience.retransmits += 1
-                delay = prober._backoff_delay(
-                    self._attempts - attempts_left[0]
-                )
-                if delay > 0.0:
-                    prober.resilience.backoff_wait_seconds += delay
-                    self._scheduler.schedule_in(delay, retransmit)
-                else:
-                    retransmit()
-                return
-            if breaker is not None:
-                breaker.record_outcome(address, exchange.response is not None)
-            self._in_flight -= 1
-            self._busy.discard(address)
-            self._wake_stalled(address)
-            on_final(exchange.response)
-
-        retransmit()
+        _Series(self, task, address, on_final).send()
 
     def _issue_walk(self, task: _Task, address: IPv4Address) -> None:
         def on_final(response: Optional[Message]) -> None:
@@ -880,10 +911,12 @@ class ActiveProber:
                 ),
             )
             self._network.journal = journal
-        # The campaign event loop allocates almost nothing cyclic —
-        # messages, rrsets, and generator frames all die by refcount —
-        # so the cycle detector contributes only pause time here (its
-        # pauses land on allocation sites inside the loop).  Pause it
+        # Invariant: the campaign allocates no reference cycles.
+        # Messages, rrsets, generator frames and query series
+        # (:class:`_Series`) all die by refcount, so a campaign run with
+        # the collector off leaves nothing for it to find
+        # (``tests/test_shard.py::TestHeapDiscipline`` pins this).  The
+        # cycle detector would contribute only pause time, so pause it
         # for the loop, then pay one *young-generation* collection
         # before re-enabling: that scans only objects allocated during
         # the probe (the dataset under construction), not the whole

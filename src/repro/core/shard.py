@@ -31,16 +31,27 @@ Three mechanisms carry that promise:
    (no lossy hosts, fixed latency), completing the purity argument; for
    chaos/lossy worlds each worker derives per-shard RNG streams, which
    keeps runs *reproducible* per (seed, K) though not K-invariant.
-3. **Order-free merge.**  Workers return serialized results; the
-   parent merges them back into the campaign's sorted admission order
+3. **Order-free merge.**  Workers ship each result's canonical row
+   (:func:`repro.core.journal.result_row`, the bytes the digest is
+   defined over); the parent decodes every row once and merges the
+   results back into the campaign's sorted admission order
    (:meth:`repro.core.dataset.MeasurementDataset.merge`), so worker
-   completion order is invisible.
+   completion order is invisible.  The merged dataset keeps the
+   shipped rows, and its digest streams them rather than serializing
+   every result a second time.
 
 Workers prefer the ``fork`` start method (the parent's generated world
-is inherited copy-on-write — no pickling, no re-generation); under
-``spawn`` each worker regenerates the world from ``world.config``,
-re-derives the identical target list and keeps the parent's subset of
-it.  Journals are per-shard files under a manifest (see
+is inherited copy-on-write — nothing about it is pickled or
+re-generated); under ``spawn`` each worker regenerates the world from
+``world.config``, re-derives the identical target list and keeps the
+parent's subset of it.  :meth:`ProcessCampaignRunner.run` brackets the
+fan-out and the merge in :func:`gc.freeze` / :func:`gc.unfreeze`: the
+world is read-only while the workers run, so moving it to the
+collector's permanent generation keeps a full collection — in a
+worker, or in the parent while it decodes rows — from walking
+hundreds of thousands of world objects, and keeps the collector from
+touching (and so copying) the pages a forked worker shares with the
+parent.  Journals are per-shard files under a manifest (see
 :mod:`repro.core.journal`).
 
 :func:`run_campaign` is the one executor every pipeline calls: inline
@@ -51,6 +62,7 @@ also the body each worker runs, and both report
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import multiprocessing
 import os
@@ -67,8 +79,8 @@ from .dataset import MeasurementDataset
 from .journal import (
     CampaignJournal,
     campaign_digest,
-    result_from_dict,
-    result_to_dict,
+    result_from_row,
+    result_row,
     shard_journal_path,
     write_shard_manifest,
 )
@@ -187,8 +199,9 @@ class CampaignCounters:
         return total
 
 
-# What one worker ships back: serialized results plus its counters.
-_Payload = Tuple[List[Dict[str, Any]], CampaignCounters]
+# What one worker ships back: each result's canonical row (its
+# ``result_row``, in the worker's admission order) plus its counters.
+_Payload = Tuple[List[bytes], CampaignCounters]
 
 
 @dataclass
@@ -278,7 +291,7 @@ def _run_inline(
 def _shard_worker(task: _ShardTask, conn) -> None:
     """Run one shard's campaign and ship results over ``conn``.
 
-    Every exit path reports: success sends ``("ok", results, counters)``,
+    Every exit path reports: success sends ``("ok", rows, counters)``,
     the kill harness sends ``("aborted", fired)``, and any other
     failure sends ``("error", traceback)`` before re-raising so the
     parent never hangs on a silent corpse.
@@ -313,7 +326,7 @@ def _shard_worker(task: _ShardTask, conn) -> None:
             world, shard_targets, task.config, journal_path
         )
         conn.send(
-            ("ok", [result_to_dict(result) for result in dataset], counters)
+            ("ok", [result_row(result) for result in dataset], counters)
         )
     except CampaignAborted as aborted:
         conn.send(("aborted", aborted.fired))
@@ -490,19 +503,16 @@ class ProcessCampaignRunner:
         return [payloads[index] for index in sorted(payloads)]
 
     def merge(self, collected: List[_Payload]) -> MeasurementDataset:
-        """Deserialize per-shard results and restore admission order."""
+        """Decode per-shard rows and restore admission order; the merged
+        dataset keeps the rows for its digest."""
         self.shard_stats = [stats for _, stats in collected]
-        parts = [
-            MeasurementDataset(
-                {
-                    result.domain: result
-                    for result in (
-                        result_from_dict(entry) for entry in entries
-                    )
-                }
-            )
-            for entries, _ in collected
-        ]
+        parts = []
+        for rows, _ in collected:
+            results = {}
+            for row in rows:
+                result = result_from_row(row)
+                results[result.domain] = result
+            parts.append(MeasurementDataset(results, tuple(rows)))
         merged = MeasurementDataset.merge(
             parts,
             labels=[f"shard {index}" for index in range(len(parts))],
@@ -516,7 +526,16 @@ class ProcessCampaignRunner:
         return merged
 
     def run(self) -> MeasurementDataset:
-        return self.merge(self.collect())
+        """Collect and merge inside a frozen heap (see the module
+        docstring).  A caller that already froze keeps its bracket:
+        the heap is unfrozen only if this call froze it."""
+        outermost = gc.get_freeze_count() == 0
+        gc.freeze()
+        try:
+            return self.merge(self.collect())
+        finally:
+            if outermost:
+                gc.unfreeze()
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-__all__ = ["IPv4Address", "IPv4Prefix", "BlockAllocator", "parse_ipv4"]
+__all__ = [
+    "IPv4Address",
+    "IPv4Prefix",
+    "BlockAllocator",
+    "parse_address_cached",
+    "parse_ipv4",
+]
 
 _MAX_IPV4 = 0xFFFFFFFF
 
@@ -54,6 +60,14 @@ def _format_ipv4(value: int) -> str:
 # canonical dataset serialization stringifies them once per result
 # field; memoizing by value keeps that a dict probe.
 _format_ipv4_cached = lru_cache(maxsize=65536)(_format_ipv4)
+
+
+@lru_cache(maxsize=65536)
+def parse_address_cached(text: str) -> "IPv4Address":
+    """Memoized :meth:`IPv4Address.parse`, the inverse direction:
+    decoding canonical dataset rows meets each spelling once per result
+    field, and addresses are immutable, so fields share one instance."""
+    return IPv4Address(parse_ipv4(text))
 
 
 @dataclass(frozen=True, order=True)

@@ -7,6 +7,8 @@ sees identical state, and building it once keeps the suite fast.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.core.study import GovernmentDnsStudy
@@ -26,6 +28,19 @@ from repro.worldgen import WorldConfig, WorldGenerator
 
 TEST_SCALE = 0.004
 TEST_SEED = 7
+
+
+@pytest.fixture(autouse=True)
+def heap_not_left_frozen():
+    """Fail any test that leaves objects in the collector's permanent
+    generation: a frozen heap leaks into every later test, whose
+    garbage then outlives it.  The heap is unfrozen before failing, so
+    one leak fails one test."""
+    yield
+    frozen = gc.get_freeze_count()
+    if frozen:
+        gc.unfreeze()
+        pytest.fail(f"test left {frozen} objects frozen by gc.freeze()")
 
 
 @pytest.fixture(scope="session")

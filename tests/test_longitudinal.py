@@ -217,7 +217,7 @@ class TestCarryForward:
         alien = DnsName.parse("not-a-target.example.")
         sample = next(iter(dataset.results_at(0).values()))
         with pytest.raises(ValueError, match="not in the base universe"):
-            dataset.append_epoch({alien: sample})
+            dataset.append_epoch(MeasurementDataset({alien: sample}))
 
     def test_rejected_batch_leaves_the_chain_untouched(self, dataset):
         # One genuinely changed real domain, plus an alien that sorts
@@ -232,11 +232,13 @@ class TestCarryForward:
             original, queries_sent=original.queries_sent + 1
         )
         with pytest.raises(ValueError, match="not in the base universe"):
-            chain.append_epoch({real: changed, alien: changed})
+            chain.append_epoch(
+                MeasurementDataset({real: changed, alien: changed})
+            )
         assert chain.epochs == 1
         assert chain.latest(real) is original
         assert chain.origin_epoch(real) == 0
-        delta = chain.append_epoch({real: original})
+        delta = chain.append_epoch(MeasurementDataset({real: original}))
         assert not delta.changed
         assert delta.epoch_digest == chain.epoch_digest(0)
         assert delta.epoch_digest == dataset_digest(dataset)
@@ -309,7 +311,7 @@ class TestDigestChain:
         chain = LongitudinalDataset(base)
         victim = base.results[min(base.results)]
         victim.queries_sent += 1
-        delta = chain.append_epoch({})
+        delta = chain.append_epoch(MeasurementDataset({}))
         assert delta.epoch_digest == dataset_digest(dataset)
 
     def test_out_of_range_epochs_raise(self, runner):

@@ -15,7 +15,7 @@ from repro.core.dataset import (
     ServerOutcome,
     ServerProbe,
 )
-from repro.core.journal import dataset_digest
+from repro.core.journal import dataset_digest, result_from_row, result_row
 from repro.core.replication import PdnsReplicationAnalysis
 from repro.core.seeds import Seed
 from repro.dns.name import DnsName
@@ -322,3 +322,19 @@ class TestStreamedDatasetDigest:
         assert dataset_digest(MeasurementDataset(by_domain)) == (
             one_blob_digest(by_domain)
         )
+
+
+class TestRowFidelity:
+    """Sharded workers ship canonical rows and the merged dataset's
+    digest streams them, so decoding must be exact in both directions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(PROBE_RESULT)
+    def test_decoded_row_is_the_result(self, result):
+        assert result_from_row(result_row(result)) == result
+
+    @settings(max_examples=150, deadline=None)
+    @given(PROBE_RESULT)
+    def test_row_of_the_decoded_result_is_the_row(self, result):
+        row = result_row(result)
+        assert result_row(result_from_row(row)) == row

@@ -9,6 +9,7 @@ the unit tests above it pin each mechanism the promise rests on.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import json
@@ -25,9 +26,11 @@ from repro.core.journal import (
     campaign_digest,
     dataset_digest,
     read_shard_manifest,
+    result_row,
     shard_journal_path,
     write_shard_manifest,
 )
+from repro.core import shard as shard_module
 from repro.core.probe import ProbeConfig
 from repro.core.shard import (
     CampaignCounters,
@@ -274,6 +277,134 @@ class TestProcessCampaignRunner:
         assert entry["campaign"] == campaign_digest(
             dict(runner._targets), ProbeConfig().identity(), None
         )
+
+
+# ----------------------------------------------------------------------
+# Row transport: workers ship canonical rows, the merge keeps them
+# ----------------------------------------------------------------------
+class TestRowTransport:
+    @pytest.mark.parametrize("shards", (1, 2, 3))
+    def test_kept_rows_are_the_decoded_results_rows(self, shards):
+        dataset = fresh_study(7, 0.004, shards=shards).dataset()
+        assert dataset.rows is not None
+        assert len(dataset.rows) == len(dataset.results)
+        for result, row in zip(dataset.results.values(), dataset.rows):
+            assert row == result_row(result)
+        # The digest streams the kept rows; without them it serializes
+        # every result, and the bytes must agree.
+        assert dataset_digest(dataset) == dataset_digest(
+            MeasurementDataset(dict(dataset.results))
+        )
+
+    def test_merge_reorders_kept_rows_with_their_results(self, dataset):
+        ordered = sorted(dataset.results)
+        parts = [
+            MeasurementDataset(
+                {d: dataset.results[d] for d in domains},
+                tuple(result_row(dataset.results[d]) for d in domains),
+            )
+            for domains in (ordered[1::2], ordered[0::2])
+        ]
+        merged = MeasurementDataset.merge(parts)
+        assert merged.rows == tuple(
+            result_row(dataset.results[d]) for d in ordered
+        )
+        assert dataset_digest(merged) == dataset_digest(dataset)
+
+    def test_merge_drops_rows_unless_every_part_kept_them(self, dataset):
+        ordered = sorted(dataset.results)
+        kept = MeasurementDataset(
+            {ordered[0]: dataset.results[ordered[0]]},
+            (result_row(dataset.results[ordered[0]]),),
+        )
+        bare = MeasurementDataset({ordered[1]: dataset.results[ordered[1]]})
+        assert MeasurementDataset.merge([kept, bare]).rows is None
+        empty = MeasurementDataset({})
+        assert MeasurementDataset.merge([kept, empty]).rows is not None
+
+    def test_rows_must_match_results(self, dataset):
+        domain = min(dataset.results)
+        with pytest.raises(ValueError, match="2 rows for 1 results"):
+            MeasurementDataset({domain: dataset.results[domain]}, (b"", b""))
+
+
+# ----------------------------------------------------------------------
+# Heap discipline: no cyclic garbage, and no heap left frozen
+# ----------------------------------------------------------------------
+class TestHeapDiscipline:
+    SEED = 7
+    SCALE = 0.004
+
+    def build(self, **kwargs):
+        study = fresh_study(self.SEED, self.SCALE)
+        return ProcessCampaignRunner(
+            study.world,
+            study.targets(),
+            ProbeConfig(),
+            shards=2,
+            suffixes=government_suffixes(study.seeds().values()),
+            **kwargs,
+        )
+
+    def test_inline_campaign_leaves_no_cyclic_garbage(self):
+        study = fresh_study(self.SEED, self.SCALE)
+        targets = study.targets()
+        suffixes = government_suffixes(study.seeds().values())
+        gc.collect()
+        gc.disable()
+        try:
+            dataset, _ = run_campaign(
+                study.world, targets, ProbeConfig(), suffixes=suffixes
+            )
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert len(dataset) == len(targets)
+        assert unreachable == 0
+
+    def test_merge_runs_in_a_frozen_heap(self, monkeypatch):
+        runner = self.build()
+        merge = runner.merge
+        frozen = []
+
+        def spy(collected):
+            frozen.append(gc.get_freeze_count())
+            return merge(collected)
+
+        monkeypatch.setattr(runner, "merge", spy)
+        runner.run()
+        assert frozen and frozen[0] > 0
+        assert gc.get_freeze_count() == 0
+
+    def test_run_unfreezes_after_a_kill(self, tmp_path):
+        runner = self.build(
+            journal_path=str(tmp_path / "run.jsonl"), kill_at_event=300
+        )
+        with pytest.raises(CampaignAborted):
+            runner.run()
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the failing worker is patched into a forked child",
+    )
+    def test_run_unfreezes_after_a_worker_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("probe failed")
+
+        monkeypatch.setattr(shard_module, "_run_inline", fail)
+        with pytest.raises(RuntimeError, match="worker\\(s\\) failed"):
+            self.build().run()
+        assert gc.get_freeze_count() == 0
+
+    def test_run_keeps_a_callers_freeze(self):
+        runner = self.build()
+        gc.freeze()
+        try:
+            runner.run()
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
 
 
 # ----------------------------------------------------------------------
