@@ -23,6 +23,11 @@ real cores: the digest assertions hold everywhere, the speedup
 assertion is gated on CPU count (a 1-core runner pays fork overhead
 for no parallelism).  EXPERIMENTS.md works through the decomposition.
 
+The package records no wall time, so this wrapper times its spans
+itself (:func:`timed_record`): the campaign is timed around the
+record's own ``run_campaign`` call, and the delegation and consistency
+analyses are timed over the dataset that campaign produced.
+
 The committed ``BENCH_probe.json`` (a multi-scale suite) is produced
 by ``repro bench --scales 0.05,0.15``; this wrapper writes its fresh
 single-scale suite elsewhere so a local pytest run cannot clobber the
@@ -39,15 +44,23 @@ below 4 cores); the counter equalities are asserted everywhere.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import time
+from unittest import mock
 
+from repro.core.dataset import MeasurementDataset
+from repro.core.shard import run_campaign
+from repro.core.study import GovernmentDnsStudy
+from repro.report import bench
 from repro.report.bench import (
     DEFAULT_SHARDS,
-    run_probe_bench,
+    GATED_FIELDS,
+    PerfReport,
+    PerfSuite,
     run_probe_record,
 )
-from repro.report.perf import GATED_FIELDS, PerfSuite
 
 from conftest import BENCH_SCALE, BENCH_SEED
 
@@ -61,22 +74,65 @@ PRE_PR_BASELINE = os.path.join(
 _CACHE = {}
 
 
-def baseline_report():
-    """Serial + concurrent records at the bench scale, run once."""
-    if "report" not in _CACHE:
-        _CACHE["report"] = run_probe_bench(
-            BENCH_SEED, BENCH_SCALE, labels=("serial", "concurrent")
+def timed_record(label):
+    """Run one bench record; return it with its wall spans in seconds.
+
+    ``campaign`` is the record's ``run_campaign`` call (probe, plus the
+    merge when sharded).  ``analysis`` is the delegation and consistency
+    analyses over that campaign's dataset.  The heap is frozen around
+    both spans, so a full collection never rescans the read-only world
+    or dataset inside one, and reaped afterwards, so one record never
+    pays for another's garbage.
+    """
+    walls = {}
+
+    def timed_campaign(world, targets, config, **kwargs):
+        gc.freeze()
+        started = time.perf_counter()
+        dataset, counters = run_campaign(world, targets, config, **kwargs)
+        walls["campaign"] = time.perf_counter() - started
+        # A copy whose columns are not built yet: the record builds the
+        # original's, and the analysis span includes building them.
+        walls["study"] = GovernmentDnsStudy(
+            world,
+            probe_config=config,
+            _dataset=MeasurementDataset(dataset.results),
         )
-    return _CACHE["report"]
+        return dataset, counters
+
+    try:
+        with mock.patch.object(bench, "run_campaign", timed_campaign):
+            record = run_probe_record(label, BENCH_SEED, BENCH_SCALE)
+        study = walls.pop("study")
+        study.seeds()  # seed selection is not part of the analysis span
+        gc.freeze()
+        started = time.perf_counter()
+        study.delegation().reports()
+        study.consistency().reports()
+        walls["analysis"] = time.perf_counter() - started
+    finally:
+        gc.unfreeze()
+        gc.collect()
+    return record, walls
+
+
+def baseline_report():
+    """Serial + concurrent records at the bench scale, run once, with
+    their wall spans."""
+    if "report" not in _CACHE:
+        report = PerfReport(scale=BENCH_SCALE, seed=BENCH_SEED)
+        walls = {}
+        for label in ("serial", "concurrent"):
+            record, walls[label] = timed_record(label)
+            report.add(record, baseline=(label == "serial"))
+        _CACHE["report"], _CACHE["walls"] = report, walls
+    return _CACHE["report"], _CACHE["walls"]
 
 
 def test_perf_probe_engine(benchmark):
-    report = baseline_report()
-    sharded = benchmark.pedantic(
-        run_probe_record,
-        args=("sharded", BENCH_SEED, BENCH_SCALE),
-        rounds=1,
-        iterations=1,
+    report, walls = baseline_report()
+    sharded, walls["sharded"] = benchmark.pedantic(
+        timed_record, args=("sharded",), rounds=1, iterations=1
     )
     report.add(sharded)
     suite = PerfSuite(seed=BENCH_SEED)
@@ -88,16 +144,11 @@ def test_perf_probe_engine(benchmark):
     print()
     print(f"  perf suite written to {BENCH_OUTPUT}")
     for record in report.records:
-        phases = record.phases or {}
-        decomposition = " ".join(
-            f"{name}={seconds:.2f}s"
-            for name, seconds in sorted(phases.items())
-        )
         print(
             f"  {record.label:<12} queries={record.queries_sent:<7}"
             f" net={record.network_queries:<7}"
             f" active_sim={record.active_seconds:>9.1f}s"
-            f" wall={record.wall_seconds:.2f}s [{decomposition}]"
+            f" campaign={walls[record.label]['campaign']:.2f}s"
         )
     reductions = report.reductions("concurrent")
     print(
@@ -117,7 +168,6 @@ def test_perf_probe_engine(benchmark):
     # vs the in-process concurrent engine, at the committed K.
     assert sharded.shards == DEFAULT_SHARDS
     assert sharded.dataset_digest == concurrent.dataset_digest
-    assert sharded.phases is not None and "merge" in sharded.phases
 
     # The engine wins that hold at bench scale (see EXPERIMENTS.md for
     # why query reduction is bounded by the irreducible sweep share).
@@ -131,8 +181,8 @@ def test_perf_probe_engine(benchmark):
     # serialization overhead for no parallelism there.
     cores = os.cpu_count() or 1
     if cores >= 4:
-        assert reductions["wall_seconds"] >= 1.0
-        assert sharded.wall_seconds < concurrent.wall_seconds
+        assert walls["serial"]["campaign"] >= walls["concurrent"]["campaign"]
+        assert walls["sharded"]["campaign"] < walls["concurrent"]["campaign"]
 
 
 def test_perf_smoke_columnar_analysis():
@@ -140,7 +190,7 @@ def test_perf_smoke_columnar_analysis():
     with open(PRE_PR_BASELINE, encoding="utf-8") as fh:
         pre = json.load(fh)
     pre_records = pre["scales"][str(BENCH_SCALE)]["records"]
-    report = baseline_report()
+    report, walls = baseline_report()
 
     # Deterministic counters must match the pre-optimization record
     # exactly: the packed kernels and the columnar store are pure
@@ -158,11 +208,10 @@ def test_perf_smoke_columnar_analysis():
         rec["phases"]["analysis"] for rec in pre_records.values()
     )
     new_analysis = max(
-        report.get(label).phases["analysis"]
-        for label in ("serial", "concurrent")
+        walls[label]["analysis"] for label in ("serial", "concurrent")
     )
     pre_probe = pre_records["concurrent"]["phases"]["probe"]
-    new_probe = report.get("concurrent").phases["probe"]
+    new_probe = walls["concurrent"]["campaign"]
     speedup = pre_analysis / new_analysis if new_analysis else float("inf")
     print()
     print(

@@ -255,13 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker count for the sharded record (default: 4)",
-    )
-    bench.add_argument(
         "--labels",
         default=(
             "serial,concurrent,sharded,"
@@ -277,15 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
             "comma-separated scales to bench into one suite file "
             "(default: the top-level --scale; with --check, every "
             "scale committed to the baseline file)"
-        ),
-    )
-    bench.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "cProfile the probe+analysis phases and emit a top-25 "
-            "cumulative hotspot table (text to stdout, JSON next to "
-            "--out as <out>.profile.json)"
         ),
     )
 
@@ -650,8 +634,9 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace, out) -> int:
-    from .core.journal import CampaignJournal, dataset_digest
-    from .core.probe import ActiveProber
+    from .core.journal import dataset_digest
+    from .core.probe import ProbeConfig
+    from .core.shard import government_suffixes, run_campaign
     from .net.events import CampaignAborted
     from .report.resilience import ResilienceReport
     from .serve.profiles import install_chaos_profile
@@ -664,6 +649,16 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
         print(
             "--journal and --resume are mutually exclusive "
             "(--resume keeps journaling to the same file)",
+            file=out,
+        )
+        return 2
+    if args.resume is not None and not os.path.exists(args.resume):
+        print(f"error: --resume {args.resume}: no such journal", file=out)
+        return 2
+    if args.journal is not None and os.path.exists(args.journal):
+        print(
+            f"error: --journal {args.journal} already exists; use "
+            f"--resume {args.journal} to continue it",
             file=out,
         )
         return 2
@@ -689,79 +684,44 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
     if args.chaos is not None:
         install_chaos_profile(world.network, args.chaos, seed=args.seed)
 
-    if shards is not None:
-        from .core.probe import ProbeConfig
-        from .core.shard import government_suffixes, run_campaign
-
-        try:
-            dataset, counters = run_campaign(
-                world,
-                targets,
-                ProbeConfig(),
-                shards=shards,
-                suffixes=government_suffixes(study.seeds().values()),
-                journal_path=args.resume or args.journal,
-            )
-        except ValueError as error:
-            print(f"error: {error}", file=out)
-            return 2
-        print(f"domains probed: {len(dataset)}", file=out)
-        print(f"dataset-digest: {dataset_digest(dataset)}", file=out)
-        for index, stats in enumerate(counters.per_shard):
-            print(
-                f"shard {index}: targets={stats.targets} "
-                f"queries={stats.queries_sent} "
-                f"(warm={stats.warm_queries}) "
-                f"net={stats.network_queries} "
-                f"sim={stats.simulated_seconds:.1f}s",
-                file=out,
-            )
-        return 0
-
-    journal: Optional[CampaignJournal] = None
+    journal_path = args.resume or args.journal
     try:
-        if args.resume is not None:
-            journal = CampaignJournal.resume(args.resume)
-        elif args.journal is not None:
-            journal = CampaignJournal.create(args.journal)
-    except ValueError as error:
-        # A shard manifest (or a corrupt journal) is a user error, not
-        # a crash.
-        print(f"error: {error}", file=out)
-        return 2
-
-    prober = ActiveProber(
-        world.network,
-        world.root_addresses,
-        world.probe_source,
-        journal=journal,
-    )
-    if args.kill_at_event is not None:
-        # Relative to events already fired by world generation and seed
-        # selection, so --kill-at-event counts campaign events only.
-        world.network.events.abort_after = (
-            world.network.events.fired + args.kill_at_event
+        dataset, counters = run_campaign(
+            world,
+            targets,
+            ProbeConfig(),
+            shards=shards,
+            suffixes=government_suffixes(study.seeds().values()),
+            journal_path=journal_path,
+            kill_at_event=args.kill_at_event,
         )
-    try:
-        dataset = prober.probe_all(targets)
     except ValueError as error:
-        # Journal/campaign mismatch and similar refusals are user
-        # errors, not crashes.
+        # A journal/campaign mismatch, a shard manifest opened as a
+        # plain journal and similar refusals are user errors.
         print(f"error: {error}", file=out)
         return 2
     except CampaignAborted as aborted:
         print(f"campaign killed: {aborted}", file=out)
-        if journal is not None:
+        if journal_path is not None:
             print(
-                f"journal preserved: resume with --resume {journal.path}",
+                f"journal preserved: resume with --resume {journal_path}",
                 file=out,
             )
         return 0
 
     print(f"domains probed: {len(dataset)}", file=out)
     print(f"dataset-digest: {dataset_digest(dataset)}", file=out)
-    report = ResilienceReport.collect(prober, dataset, journal)
+    report = ResilienceReport.collect(counters, dataset, args.chaos)
     print(report.render(), file=out)
+    for index, stats in enumerate(counters.per_shard):
+        print(
+            f"shard {index}: targets={stats.targets} "
+            f"queries={stats.queries_sent} "
+            f"(warm={stats.warm_queries}) "
+            f"net={stats.network_queries} "
+            f"sim={stats.simulated_seconds:.1f}s",
+            file=out,
+        )
     if args.resilience_out is not None:
         report.write(args.resilience_out)
         print(f"resilience report written to {args.resilience_out}", file=out)
@@ -770,14 +730,20 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
 
 def _cmd_bench(args: argparse.Namespace, out) -> int:
     from .report.bench import (
-        check_probe_bench,
-        collect_hotspots,
-        render_hotspot_table,
+        gate_suite,
+        load_report_payload,
         run_probe_suite,
+        scale_payloads,
     )
-    from .report.export import write_json
-    from .report.perf import load_report_payload, scale_payloads
 
+    committed = None
+    if args.check is not None:
+        try:
+            committed = load_report_payload(args.check)
+            committed_scales = tuple(sorted(scale_payloads(committed)))
+        except ValueError as error:
+            print(f"error: {args.check}: {error}", file=out)
+            return 2
     labels = tuple(
         label.strip() for label in args.labels.split(",") if label.strip()
     )
@@ -787,68 +753,30 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
             for scale in args.scales.split(",")
             if scale.strip()
         )
-    elif args.check is not None:
+    elif committed is not None:
         # Gate mode defaults to every scale the baseline file commits
         # to, so "check" always means "check everything committed".
-        scales = tuple(
-            sorted(scale_payloads(load_report_payload(args.check)))
-        )
+        scales = committed_scales
     else:
         scales = (args.scale,)
 
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-    suite = run_probe_suite(
-        args.seed, scales, shards=args.shards, labels=labels,
-        profiler=profiler,
-    )
+    suite = run_probe_suite(args.seed, scales, labels=labels)
     suite.write(args.out)
     print(f"benchmark suite written to {args.out}", file=out)
     for scale in sorted(suite.reports):
         report = suite.reports[scale]
         print(f"scale {scale}:", file=out)
         for record in report.records:
-            phases = record.phases or {}
-            decomposition = " ".join(
-                f"{name}={seconds:.2f}s"
-                for name, seconds in sorted(phases.items())
-            )
             print(
                 f"  {record.label:<12} queries={record.queries_sent:<7} "
                 f"net={record.network_queries:<7} "
-                f"wall={record.wall_seconds:.2f}s "
-                f"[{decomposition}] digest={record.dataset_digest[:12]}…",
+                f"sim={record.simulated_seconds:.1f}s "
+                f"digest={record.dataset_digest[:12]}…",
                 file=out,
             )
 
-    if profiler is not None:
-        hotspots = collect_hotspots(profiler)
-        table = render_hotspot_table(hotspots)
-        profile_path = f"{args.out}.profile.json"
-        write_json(
-            profile_path,
-            {
-                "seed": args.seed,
-                "scales": list(scales),
-                "labels": list(labels),
-                "phases_profiled": ["probe", "merge", "analysis"],
-                "hotspots": hotspots,
-            },
-        )
-        with open(f"{args.out}.profile.txt", "w", encoding="utf-8") as fh:
-            fh.write(table + "\n")
-        print(
-            f"hotspot profile (top {len(hotspots)} by cumulative time, "
-            f"probe+merge+analysis phases) written to {profile_path}:",
-            file=out,
-        )
-        print(table, file=out)
-
-    if args.check is not None:
-        violations = check_probe_bench(suite, args.check)
+    if committed is not None:
+        violations = gate_suite(suite, committed)
         if violations:
             print(f"perf gate FAILED against {args.check}:", file=out)
             for violation in violations:

@@ -152,16 +152,36 @@ def partition(
 # ----------------------------------------------------------------------
 # Worker protocol
 # ----------------------------------------------------------------------
+# The CampaignCounters fields ``+=`` adds up.
+_SUMMED = (
+    "targets",
+    "queries_sent",
+    "warm_queries",
+    "network_queries",
+    "timeouts",
+    "simulated_seconds",
+    "retransmits",
+    "backoff_wait_seconds",
+    "breaker_skipped_probes",
+    "breaker_trips",
+    "breaker_open_at_end",
+    "journal_replayed_sends",
+    "journal_recovered_results",
+)
+
+
 @dataclass
 class CampaignCounters:
-    """What a campaign cost: the one counter set every executor reports.
+    """What a campaign cost and what its failure machinery did: the one
+    counter set every executor reports.
 
     ``+=`` sums two probes run one after another on one clock; a fold
     across shards (:meth:`fold_shards`) sums the counts but takes the
     slowest shard's virtual seconds, since workers advance private
-    clock copies side by side.  ``per_shard`` is set only by a fold;
-    ``+=`` clears it, so a summed counter never shows a partial
-    breakdown.
+    clock copies side by side.  The journal flags are or-ed.  ``chaos``
+    is the chaos-stats delta (empty when no schedule was installed).
+    ``per_shard`` is set only by a fold; ``+=`` clears it, so a summed
+    counter never shows a partial breakdown.
     """
 
     targets: int = 0
@@ -170,18 +190,30 @@ class CampaignCounters:
     network_queries: int = 0
     timeouts: int = 0
     simulated_seconds: float = 0.0
+    # The prober's ResilienceCounters and its circuit breaker.
+    retransmits: int = 0
+    backoff_wait_seconds: float = 0.0
+    breaker_skipped_probes: int = 0
+    breaker_trips: int = 0
+    breaker_open_at_end: int = 0
+    chaos: Dict[str, int] = field(default_factory=dict)
+    # The checkpoint journal, when the campaign kept one.
+    journaled: bool = False
+    resumed: bool = False
+    journal_replayed_sends: int = 0
+    journal_recovered_results: int = 0
     # The per-worker counters behind a fold, in shard order.
     per_shard: Tuple["CampaignCounters", ...] = field(
         default=(), repr=False, compare=False
     )
 
     def __iadd__(self, other: "CampaignCounters") -> "CampaignCounters":
-        self.targets += other.targets
-        self.queries_sent += other.queries_sent
-        self.warm_queries += other.warm_queries
-        self.network_queries += other.network_queries
-        self.timeouts += other.timeouts
-        self.simulated_seconds += other.simulated_seconds
+        for name in _SUMMED:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for key, count in other.chaos.items():
+            self.chaos[key] = self.chaos.get(key, 0) + count
+        self.journaled = self.journaled or other.journaled
+        self.resumed = self.resumed or other.resumed
         self.per_shard = ()
         return self
 
@@ -263,29 +295,64 @@ def _run_inline(
     targets: Dict[DnsName, str],
     config: ProbeConfig,
     journal_path: Optional[str] = None,
+    kill_at_event: Optional[int] = None,
 ) -> Tuple[MeasurementDataset, CampaignCounters]:
     """Probe ``targets`` in this process and count what it cost: the
-    inline executor, and the body every shard worker runs."""
+    inline executor, and the body every shard worker runs.
+
+    ``kill_at_event`` arms the kill harness relative to the events
+    already fired (world generation, seed selection), so it counts
+    campaign events only.
+    """
     network = world.network
+    journal = _open_journal(journal_path)
     prober = ActiveProber(
         network,
         world.root_addresses,
         world.probe_source,
         config=config,
-        journal=_open_journal(journal_path),
+        journal=journal,
     )
+    chaos = network.chaos
+    base_chaos = chaos.stats.as_dict() if chaos is not None else {}
     started_at = world.clock.now
     base_queries = network.stats.queries_sent
     base_timeouts = network.stats.timeouts
+    if kill_at_event is not None:
+        network.events.abort_after = network.events.fired + kill_at_event
     dataset = prober.probe_all(targets)
-    return dataset, CampaignCounters(
+    resilience = prober.resilience
+    breaker = prober.breaker
+    chaos_delta = (
+        {
+            key: count - base_chaos[key]
+            for key, count in chaos.stats.as_dict().items()
+        }
+        if chaos is not None
+        else {}
+    )
+    counters = CampaignCounters(
         targets=len(targets),
         queries_sent=prober.queries_sent,
         warm_queries=prober.warm_queries,
         network_queries=network.stats.queries_sent - base_queries,
         timeouts=network.stats.timeouts - base_timeouts,
         simulated_seconds=world.clock.now - started_at,
+        retransmits=resilience.retransmits,
+        backoff_wait_seconds=resilience.backoff_wait_seconds,
+        breaker_skipped_probes=resilience.breaker_skipped_probes,
+        breaker_trips=breaker.trips if breaker is not None else 0,
+        breaker_open_at_end=(
+            breaker.open_count() if breaker is not None else 0
+        ),
+        chaos=chaos_delta,
     )
+    if journal is not None:
+        counters.journaled = True
+        counters.resumed = journal.resuming
+        counters.journal_replayed_sends = journal.replayed_sends
+        counters.journal_recovered_results = journal.recovered_results
+    return dataset, counters
 
 
 def _shard_worker(task: _ShardTask, conn) -> None:
@@ -313,17 +380,17 @@ def _shard_worker(task: _ShardTask, conn) -> None:
             network.restore_rng_state(random.Random(material).getstate())
             if network.chaos is not None:
                 network.chaos.derive_rng(task.index)
-        if task.kill_at_event is not None:
-            network.events.abort_after = (
-                network.events.fired + task.kill_at_event
-            )
         journal_path = (
             shard_journal_path(task.journal_path, task.index)
             if task.journal_path is not None
             else None
         )
         dataset, counters = _run_inline(
-            world, shard_targets, task.config, journal_path
+            world,
+            shard_targets,
+            task.config,
+            journal_path,
+            task.kill_at_event,
         )
         conn.send(
             ("ok", [result_row(result) for result in dataset], counters)
@@ -550,6 +617,7 @@ def run_campaign(
     suffixes: FrozenSet[DnsName],
     epoch: Optional[int] = None,
     journal_path: Optional[str] = None,
+    kill_at_event: Optional[int] = None,
 ) -> Tuple[MeasurementDataset, CampaignCounters]:
     """Run the §III campaign over ``targets`` — the one place that
     picks the executor.
@@ -558,10 +626,14 @@ def run_campaign(
     K worker processes (:class:`ProcessCampaignRunner`) and folds their
     counters.  The dataset digest is the same either way.  ``epoch``
     labels a longitudinal probe for merge errors and spawned workers;
-    ``journal_path`` records (or resumes) a checkpoint journal.
+    ``journal_path`` records (or resumes) a checkpoint journal;
+    ``kill_at_event`` aborts the campaign (:class:`CampaignAborted`)
+    after that many scheduler events, in every worker when sharded.
     """
     if shards is None:
-        return _run_inline(world, targets, config, journal_path)
+        return _run_inline(
+            world, targets, config, journal_path, kill_at_event
+        )
     runner = ProcessCampaignRunner(
         world,
         targets,
@@ -569,6 +641,7 @@ def run_campaign(
         shards=shards,
         suffixes=suffixes,
         journal_path=journal_path,
+        kill_at_event=kill_at_event,
         epoch=epoch,
     )
     dataset = runner.run()

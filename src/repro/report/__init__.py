@@ -8,7 +8,7 @@ from .disclosure import (
 )
 from .export import to_csv, to_json, write_csv, write_json
 from .paperkit import ARTIFACTS, export_all, render_all
-from .perf import PerfRecord, PerfReport
+from .bench import PerfRecord, PerfReport
 from .resilience import ResilienceReport
 from .figures import Distribution, Series, cdf_points, render_bars, render_series
 from .tables import format_count, format_percent, render_table

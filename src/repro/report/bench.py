@@ -1,69 +1,65 @@
-"""The probe benchmark suite behind ``repro bench``.
+"""The probe benchmark suite behind ``repro bench``: its record format
+and its regression gate.
 
-One entrypoint — :func:`run_probe_bench` — runs the campaign under each
-engine configuration on identically-seeded worlds, decomposes the
-wall-clock cost per phase (worldgen / probe / merge / analysis), stamps
-every record with the dataset digest, and writes ``BENCH_probe.json``.
-Both the CLI subcommand and ``benchmarks/test_perf_probe.py`` call it,
-so CI, pytest-benchmark, and humans measure exactly the same thing.
+For each engine configuration, :func:`run_probe_record` runs the
+campaign on an identically seeded world through
+:func:`repro.core.shard.run_campaign` and records what it cost in the
+deterministic currencies:
 
-``--check`` mode (:func:`check_probe_bench`) is the perf-regression
-gate: the deterministic counters and dataset digests in a fresh run
-must match the committed ``BENCH_probe.json`` byte-for-byte, while
-wall-clock numbers are advisory only (CI runners are noisy; counters
-are not).
+* **simulated seconds** — how long the campaign took in virtual time
+  (what a real deployment of the methodology would experience);
+* **queries** — how many queries the prober issued (measurement plus
+  infrastructure traffic), the paper's politeness currency;
 
-This module intentionally reads the host's real clock — it *measures*
-wall time, which is the one place the determinism lint must not apply;
-the inline suppressions below mark each deliberate call site.
+plus the dataset digest.  Records are written to a single JSON file
+(``BENCH_probe.json``) so CI can archive one artifact per run.  Both
+the CLI subcommand and ``benchmarks/test_perf_probe.py`` call this
+module, so they measure exactly the same campaigns.
+
+The committed ``BENCH_probe.json`` is a **regression gate**
+(:func:`gate_suite`): every counter in :data:`GATED_FIELDS` of
+a fresh run must match the committed record exactly.  Wall-clock time
+is not recorded here; ``bench/run.py`` measures it from outside the
+package, as paired medians with a traced per-layer trial.
 """
 
 from __future__ import annotations
 
-import cProfile
-import gc
-import pstats
-import time
+import json
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.epoch import EpochRunner
 from ..core.journal import dataset_digest
 from ..core.probe import ProbeConfig
-from ..core.shard import (
-    CampaignCounters,
-    ProcessCampaignRunner,
-    government_suffixes,
-    run_campaign,
-)
+from ..core.shard import government_suffixes, run_campaign
 from ..core.study import GovernmentDnsStudy
 from ..worldgen.churn import world_at_epoch
-from .perf import (
-    PerfRecord,
-    PerfReport,
-    PerfSuite,
-    gate_suite,
-    load_report_payload,
-)
+from .export import to_json, write_json
 
 __all__ = [
     "BENCH_CONFIGS",
     "DEFAULT_SHARDS",
+    "GATED_FIELDS",
     "LONGITUDINAL_EPOCHS",
     "LONGITUDINAL_LABELS",
-    "check_probe_bench",
-    "collect_hotspots",
-    "render_hotspot_table",
+    "PerfRecord",
+    "PerfReport",
+    "PerfSuite",
+    "gate_report",
+    "gate_suite",
+    "load_report_payload",
     "run_longitudinal_record",
     "run_probe_bench",
     "run_probe_record",
     "run_probe_suite",
+    "scale_payloads",
 ]
 
 # The sharded record is committed at a fixed K: its network-query total
 # depends on K (each worker warms its own cache), so the CI gate needs
 # one canonical shard count rather than "however many cores the runner
-# had".  Wall-clock still benefits from more cores at fixed K=4 only up
-# to 4; the CLI lets humans pass --shards auto for real speed runs.
+# had".
 DEFAULT_SHARDS = 4
 
 BENCH_CONFIGS: Dict[str, Dict[str, object]] = {
@@ -82,121 +78,183 @@ BENCH_CONFIGS: Dict[str, Dict[str, object]] = {
 LONGITUDINAL_LABELS = ("longitudinal_full", "longitudinal_incremental")
 LONGITUDINAL_EPOCHS = 3
 
+# Fields that are pure functions of (seed, scale, config): any drift is
+# a real behaviour change, never runner noise.
+GATED_FIELDS = (
+    "targets",
+    "queries_sent",
+    "network_queries",
+    "timeouts",
+    "responsive_domains",
+    "dataset_digest",
+)
 
-def _now() -> float:
-    return time.perf_counter()  # reprolint: disable=DET001
+
+# ----------------------------------------------------------------------
+# Record format
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class PerfRecord:
+    """One engine configuration's campaign cost."""
+
+    label: str
+    max_in_flight: int
+    zone_cut_caching: bool
+    targets: int
+    simulated_seconds: float
+    active_seconds: float  # simulated minus configured inter-round waits
+    queries_sent: int  # prober-issued series (walk + sweep + warm)
+    network_queries: int  # every datagram, including NS-address resolution
+    timeouts: int
+    responsive_domains: int
+    # sha256 of the canonical dataset serialization (see
+    # repro.core.journal.dataset_digest).
+    dataset_digest: str
+    # Worker-process count for sharded records; None = in-process.
+    shards: Optional[int] = None
 
 
-def run_probe_record(
-    label: str,
-    seed: int,
-    scale: float,
-    shards: Optional[int] = None,
-    profiler: Optional[cProfile.Profile] = None,
-) -> PerfRecord:
-    """Run one configuration's full campaign and measure everything.
+@dataclass
+class PerfReport:
+    """A set of perf records plus derived baseline-vs-config ratios."""
 
-    ``shards`` only applies to the ``sharded`` label (None there means
-    :data:`DEFAULT_SHARDS`).  When ``profiler`` is given it is enabled
-    around the probe, merge, and analysis phases only — worldgen is
-    out of scope for the hotspot table, and for the sharded label the
-    worker processes are opaque (only spawn/collect/merge appear).
+    scale: float
+    seed: int
+    records: List[PerfRecord] = field(default_factory=list)
+    baseline_label: Optional[str] = None
+
+    def add(self, record: PerfRecord, baseline: bool = False) -> None:
+        if any(r.label == record.label for r in self.records):
+            raise ValueError(f"duplicate perf record label: {record.label}")
+        self.records.append(record)
+        if baseline:
+            self.baseline_label = record.label
+
+    def get(self, label: str) -> PerfRecord:
+        for record in self.records:
+            if record.label == label:
+                return record
+        raise KeyError(f"no perf record labelled {label!r}")
+
+    def reductions(self, label: str) -> Dict[str, float]:
+        """Baseline-over-config ratios (>1 means the config is cheaper).
+
+        ``queries_sent``, ``network_queries`` and ``active_seconds``
+        are each compared against the baseline record; a ratio of 2.0
+        reads "the baseline cost 2x more".
+        """
+        if self.baseline_label is None:
+            raise ValueError("no baseline record marked")
+        baseline = self.get(self.baseline_label)
+        record = self.get(label)
+        ratios: Dict[str, float] = {}
+        for metric in ("queries_sent", "network_queries", "active_seconds"):
+            cost = getattr(record, metric)
+            ratios[metric] = (
+                float("inf") if cost == 0 else getattr(baseline, metric) / cost
+            )
+        return ratios
+
+    def payload(self) -> Dict[str, object]:
+        out: Dict[str, object] = {
+            "scale": self.scale,
+            "seed": self.seed,
+            "baseline": self.baseline_label,
+            "records": {record.label: record for record in self.records},
+        }
+        if self.baseline_label is not None:
+            out["reductions_vs_baseline"] = {
+                record.label: self.reductions(record.label)
+                for record in self.records
+                if record.label != self.baseline_label
+            }
+        return out
+
+    def to_json(self) -> str:
+        return to_json(self.payload())
+
+
+@dataclass
+class PerfSuite:
+    """Per-scale :class:`PerfReport` collection under one seed.
+
+    The suite format (``"format": 2``) keys full reports by scale so
+    the regression gate covers *every* committed scale, not just the
+    one the CLI happened to be invoked with.
+    """
+
+    seed: int
+    reports: Dict[float, PerfReport] = field(default_factory=dict)
+
+    def add(self, report: PerfReport) -> None:
+        if report.seed != self.seed:
+            raise ValueError(
+                f"report seed {report.seed} != suite seed {self.seed}"
+            )
+        if report.scale in self.reports:
+            raise ValueError(f"duplicate suite scale: {report.scale}")
+        self.reports[report.scale] = report
+
+    def payload(self) -> Dict[str, object]:
+        return {
+            "format": 2,
+            "seed": self.seed,
+            "scales": {
+                str(scale): self.reports[scale].payload()
+                for scale in sorted(self.reports)
+            },
+        }
+
+    def to_json(self) -> str:
+        return to_json(self.payload())
+
+    def write(self, path: str) -> None:
+        write_json(path, self.payload())
+
+
+# ----------------------------------------------------------------------
+# Running the suite
+# ----------------------------------------------------------------------
+def run_probe_record(label: str, seed: int, scale: float) -> PerfRecord:
+    """Run one configuration's full campaign and record its counters.
+
+    The ``sharded`` label runs over :data:`DEFAULT_SHARDS` workers.
     """
     if label not in BENCH_CONFIGS:
         raise ValueError(f"unknown bench config: {label!r}")
     config = ProbeConfig(**BENCH_CONFIGS[label])  # type: ignore[arg-type]
-    shard_count = (
-        (shards if shards is not None else DEFAULT_SHARDS)
-        if label == "sharded"
-        else None
-    )
-    phases: Dict[str, float] = {}
-
-    mark = _now()
+    shards = DEFAULT_SHARDS if label == "sharded" else None
     world = world_at_epoch(seed, scale)
     study = GovernmentDnsStudy(world, probe_config=config)
     targets = study.targets()
-    suffixes = government_suffixes(study.seeds().values())
-    # The generated world is immutable and lives for the whole record:
-    # move it to the GC's permanent generation so the cycle detector
-    # never rescans it during the phases we are measuring (the
-    # CPython long-lived-base-state pattern; forked shard workers get
-    # the frozen heap copy-on-write for free).  Undone at record end.
-    gc.freeze()
-    phases["worldgen"] = _now() - mark
-
     base_network_queries = world.network.stats.queries_sent
     base_timeouts = world.network.stats.timeouts
-    if profiler is not None:
-        profiler.enable()
-    if shard_count is not None:
-        # Collect and merge are timed apart, so the runner is driven
-        # here rather than through run_campaign.
-        runner = ProcessCampaignRunner(
-            world, targets, config, shards=shard_count, suffixes=suffixes
-        )
-        mark = _now()
-        collected = runner.collect()
-        phases["probe"] = _now() - mark
-        mark = _now()
-        dataset = runner.merge(collected)
-        phases["merge"] = _now() - mark
-        counters = CampaignCounters.fold_shards(runner.shard_stats)
-    else:
-        mark = _now()
-        dataset, counters = run_campaign(
-            world, targets, config, suffixes=suffixes
-        )
-        phases["probe"] = _now() - mark
-        phases["merge"] = 0.0
-    if profiler is not None:
-        profiler.disable()
-    study._dataset = dataset
-
-    # Same pattern for the finished dataset: it is read-only from here
-    # on, so freeze it too — the analyses then run against an empty
-    # young heap and the collector has nothing old to rescan.
-    gc.freeze()
-
-    if profiler is not None:
-        profiler.enable()
-    mark = _now()
-    study.delegation().reports()
-    study.consistency().reports()
-    phases["analysis"] = _now() - mark
-    if profiler is not None:
-        profiler.disable()
-
-    # Record isolation: hand the heap back to the collector and reap
-    # this record's cycles now, so the next record's phases never pay
-    # for this one's garbage.
-    gc.unfreeze()
-    gc.collect()
+    dataset, counters = run_campaign(
+        world,
+        targets,
+        config,
+        shards=shards,
+        suffixes=government_suffixes(study.seeds().values()),
+    )
 
     # The inter-round wait is methodology, not engine cost: subtract it
-    # to compare what the engine actually controls.  The analyses above
-    # materialized the columnar store, so the counters below are free
-    # column scans.
-    retried = 1 in dataset.columns.retried
-    waits = config.retry_interval_days * 86_400 if retried else 0.0
+    # to compare what the engine actually controls.
+    columns = dataset.columns
+    waits = config.retry_interval_days * 86_400 if 1 in columns.retried else 0.0
     return PerfRecord(
         label=label,
         max_in_flight=config.max_in_flight,
         zone_cut_caching=config.zone_cut_caching,
         targets=len(targets),
-        # Campaign cost only (probe + merge): worldgen and analysis are
-        # identical across configurations and would dilute the ratios.
-        wall_seconds=round(phases["probe"] + phases["merge"], 3),
         simulated_seconds=round(counters.simulated_seconds, 3),
         active_seconds=round(counters.simulated_seconds - waits, 3),
         queries_sent=counters.queries_sent,
         # Network totals include seed selection's queries.
         network_queries=base_network_queries + counters.network_queries,
         timeouts=base_timeouts + counters.timeouts,
-        responsive_domains=dataset.columns.responsive.count(1),
+        responsive_domains=columns.responsive.count(1),
         dataset_digest=dataset_digest(dataset),
-        shards=shard_count,
-        phases={name: round(phases[name], 3) for name in sorted(phases)},
+        shards=shards,
     )
 
 
@@ -205,9 +263,8 @@ def run_longitudinal_record(
     seed: int,
     scale: float,
     epochs: int = LONGITUDINAL_EPOCHS,
-    profiler: Optional[cProfile.Profile] = None,
 ) -> PerfRecord:
-    """Run one longitudinal mode's full epoch loop and measure it.
+    """Run one longitudinal mode's full epoch loop and record it.
 
     The gated counters are *steady-state* totals (epochs 1..N; the
     bootstrap campaign is identical in both modes and would dilute the
@@ -218,29 +275,12 @@ def run_longitudinal_record(
     if label not in LONGITUDINAL_LABELS:
         raise ValueError(f"unknown longitudinal config: {label!r}")
     config = ProbeConfig(**BENCH_CONFIGS["concurrent"])  # type: ignore[arg-type]
-    incremental = label == "longitudinal_incremental"
-    phases: Dict[str, float] = {}
-
-    mark = _now()
-    world = world_at_epoch(seed, scale)
-    runner = EpochRunner(world, probe_config=config, incremental=incremental)
-    gc.freeze()
-    phases["worldgen"] = _now() - mark
-
-    if profiler is not None:
-        profiler.enable()
-    mark = _now()
-    runner.bootstrap()
-    phases["epoch0"] = _now() - mark
-    mark = _now()
-    for _ in range(epochs):
-        runner.run_epoch()
-    phases["epochs"] = _now() - mark
-    if profiler is not None:
-        profiler.disable()
-
-    gc.unfreeze()
-    gc.collect()
+    runner = EpochRunner(
+        world_at_epoch(seed, scale),
+        probe_config=config,
+        incremental=label == "longitudinal_incremental",
+    )
+    runner.run(epochs)
 
     steady = runner.stats[1:]
     final = runner.stats[-1]
@@ -250,8 +290,6 @@ def run_longitudinal_record(
         max_in_flight=config.max_in_flight,
         zone_cut_caching=config.zone_cut_caching,
         targets=len(runner.targets),
-        # Steady-state epoch cost only: bootstrap is shared overhead.
-        wall_seconds=round(phases["epochs"], 3),
         simulated_seconds=round(simulated, 3),
         active_seconds=round(simulated, 3),
         queries_sent=sum(s.queries_sent for s in steady),
@@ -259,17 +297,13 @@ def run_longitudinal_record(
         timeouts=sum(s.timeouts for s in steady),
         responsive_domains=final.responsive,
         dataset_digest=final.epoch_digest,
-        shards=None,
-        phases={name: round(phases[name], 3) for name in sorted(phases)},
     )
 
 
 def run_probe_bench(
     seed: int,
     scale: float,
-    shards: Optional[int] = None,
     labels: Tuple[str, ...] = ("serial", "concurrent", "sharded"),
-    profiler: Optional[cProfile.Profile] = None,
 ) -> PerfReport:
     """Run the benchmark suite; ``serial`` (when present) is the
     baseline for reduction ratios.  Longitudinal labels dispatch to the
@@ -277,13 +311,9 @@ def run_probe_bench(
     report = PerfReport(scale=scale, seed=seed)
     for label in labels:
         if label in LONGITUDINAL_LABELS:
-            record = run_longitudinal_record(
-                label, seed, scale, profiler=profiler
-            )
+            record = run_longitudinal_record(label, seed, scale)
         else:
-            record = run_probe_record(
-                label, seed, scale, shards=shards, profiler=profiler
-            )
+            record = run_probe_record(label, seed, scale)
         report.add(record, baseline=(label == "serial"))
     return report
 
@@ -291,78 +321,112 @@ def run_probe_bench(
 def run_probe_suite(
     seed: int,
     scales: Tuple[float, ...],
-    shards: Optional[int] = None,
     labels: Tuple[str, ...] = ("serial", "concurrent", "sharded"),
-    profiler: Optional[cProfile.Profile] = None,
 ) -> PerfSuite:
     """Run the full benchmark at each scale into one suite."""
     suite = PerfSuite(seed=seed)
     for scale in scales:
-        suite.add(
-            run_probe_bench(
-                seed, scale, shards=shards, labels=labels, profiler=profiler
-            )
-        )
+        suite.add(run_probe_bench(seed, scale, labels=labels))
     return suite
 
 
-def check_probe_bench(suite: PerfSuite, committed_path: str) -> List[str]:
-    """Gate a fresh suite against the committed baseline file.
+# ----------------------------------------------------------------------
+# Regression gate
+# ----------------------------------------------------------------------
+def load_report_payload(path: str) -> Dict[str, object]:
+    """Read a previously written BENCH_probe.json payload."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
-    Every scale present in the committed file is checked (suite files
-    carry several; legacy single-report files carry one).
+
+def scale_payloads(committed: Dict[str, object]) -> Dict[float, Dict[str, object]]:
+    """Per-scale report payloads from a committed suite file.
+
+    Raises ValueError on anything but a ``"format": 2`` suite.
     """
-    return gate_suite(suite, load_report_payload(committed_path))
+    scales = committed.get("scales")
+    if committed.get("format") != 2 or not isinstance(scales, dict):
+        raise ValueError("not a format-2 benchmark suite file")
+    return {float(key): payload for key, payload in scales.items()}
 
 
-# ----------------------------------------------------------------------
-# Hotspot profiling (``repro bench --profile``)
-# ----------------------------------------------------------------------
-def _short_location(filename: str, lineno: int, name: str) -> str:
-    """``pkg/module.py:123(func)`` with site-packages noise stripped."""
-    if name == "<built-in method builtins.exec>":
-        return name
-    for marker in ("/repro/", "/lib/python"):
-        cut = filename.rfind(marker)
-        if cut != -1:
-            filename = filename[cut + 1 :]
-            break
-    if filename.startswith("~"):  # pstats' marker for built-ins
-        return name
-    return f"{filename}:{lineno}({name})"
+def gate_suite(
+    current: PerfSuite, committed: Dict[str, object]
+) -> List[str]:
+    """Gate a fresh suite against a committed payload, every scale.
 
-
-def collect_hotspots(
-    profiler: cProfile.Profile, top: int = 25
-) -> List[Dict[str, object]]:
-    """Top-``top`` functions by cumulative time, as JSON-ready rows."""
-    stats = pstats.Stats(profiler)
-    stats.sort_stats("cumulative")
-    rows: List[Dict[str, object]] = []
-    for func in stats.fcn_list[:top]:  # type: ignore[attr-defined]
-        cc, nc, tt, ct, _callers = stats.stats[func]  # type: ignore[attr-defined]
-        filename, lineno, name = func
-        rows.append(
-            {
-                "function": _short_location(filename, lineno, name),
-                "ncalls": nc,
-                "primitive_calls": cc,
-                "tottime": round(tt, 4),
-                "cumtime": round(ct, 4),
-            }
+    Each scale committed to the baseline file must be present in the
+    current run and pass :func:`gate_report`; scales only present in
+    the current run are allowed (that is how a scale is introduced).
+    """
+    violations: List[str] = []
+    for scale, payload in sorted(scale_payloads(committed).items()):
+        report = current.reports.get(scale)
+        if report is None:
+            violations.append(
+                f"scale {scale} present in committed baseline but "
+                f"missing from this run"
+            )
+            continue
+        violations.extend(
+            f"scale {scale}: {violation}"
+            for violation in gate_report(report, payload)
         )
-    return rows
+    return violations
 
 
-def render_hotspot_table(rows: List[Dict[str, object]]) -> str:
-    """Fixed-width text rendering of :func:`collect_hotspots` rows."""
-    lines = [
-        f"{'ncalls':>10} {'tottime':>9} {'cumtime':>9}  function",
-        f"{'-' * 10} {'-' * 9} {'-' * 9}  {'-' * 40}",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row['ncalls']:>10} {row['tottime']:>9.3f} "
-            f"{row['cumtime']:>9.3f}  {row['function']}"
-        )
-    return "\n".join(lines)
+def gate_report(
+    current: PerfReport, committed: Dict[str, object]
+) -> List[str]:
+    """Compare a fresh report against the committed baseline payload.
+
+    Returns a list of violation strings (empty = gate passes).  Every
+    committed record must carry each of :data:`GATED_FIELDS`, and each
+    must match exactly.  A record present in the committed file but
+    absent from the current run is a violation (a silently dropped
+    configuration is a regression too); new records in the current run
+    are allowed (that is how a record is introduced).
+
+    All violations are reported in one pass: an identity mismatch does
+    not short-circuit the record-level comparisons, so a run that both
+    drifted a field and was taken at the wrong seed reports both facts
+    instead of hiding the field drift behind the identity error.
+    """
+    violations: List[str] = []
+    for key in ("seed", "scale"):
+        committed_value = committed.get(key)
+        current_value = getattr(current, key)
+        if committed_value != current_value:
+            violations.append(
+                f"benchmark identity mismatch: {key} is {current_value}, "
+                f"committed file was recorded at {committed_value}"
+            )
+    records = committed.get("records")
+    if not isinstance(records, dict):
+        violations.append("committed payload has no records mapping")
+        return violations
+    for label in sorted(records):
+        reference = records[label]
+        try:
+            record = current.get(label)
+        except KeyError:
+            violations.append(
+                f"record {label!r} present in committed baseline but "
+                f"missing from this run"
+            )
+            continue
+        assert isinstance(reference, dict)
+        for fieldname in GATED_FIELDS:
+            if fieldname not in reference:
+                violations.append(
+                    f"{label}.{fieldname}: missing from the committed record"
+                )
+                continue
+            actual = getattr(record, fieldname)
+            if actual != reference[fieldname]:
+                violations.append(
+                    f"{label}.{fieldname}: {actual!r} != committed "
+                    f"{reference[fieldname]!r}"
+                )
+    return violations
+

@@ -21,8 +21,7 @@ from .tables import render_table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..core.dataset import MeasurementDataset
-    from ..core.journal import CampaignJournal
-    from ..core.probe import ActiveProber
+    from ..core.shard import CampaignCounters
 
 __all__ = ["ResilienceReport"]
 
@@ -51,30 +50,26 @@ class ResilienceReport:
     @classmethod
     def collect(
         cls,
-        prober: "ActiveProber",
+        counters: "CampaignCounters",
         dataset: "MeasurementDataset",
-        journal: Optional["CampaignJournal"] = None,
+        chaos_profile: Optional[str] = None,
     ) -> "ResilienceReport":
-        report = cls()
-        counters = prober.resilience
-        report.retransmits = counters.retransmits
-        report.backoff_wait_seconds = counters.backoff_wait_seconds
-        report.breaker_skipped_probes = counters.breaker_skipped_probes
-        breaker = prober.breaker
-        if breaker is not None:
-            report.breaker_trips = breaker.trips
-            report.breaker_open_at_end = breaker.open_count()
-        chaos = prober._network.chaos
-        if chaos is not None:
-            report.chaos_profile = chaos.name
-            report.chaos = chaos.stats.as_dict()
-        if journal is not None:
-            report.journaled = True
-            report.resumed = journal.resuming
-            report.journal_replayed_sends = journal.replayed_sends
-            report.journal_recovered_results = journal.recovered_results
-        report.persistence = dataset.persistence_counts()
-        return report
+        """Build the report from a campaign's counters (inline or
+        folded across shards) and the dataset it produced."""
+        return cls(
+            retransmits=counters.retransmits,
+            backoff_wait_seconds=counters.backoff_wait_seconds,
+            breaker_trips=counters.breaker_trips,
+            breaker_skipped_probes=counters.breaker_skipped_probes,
+            breaker_open_at_end=counters.breaker_open_at_end,
+            chaos_profile=chaos_profile,
+            chaos=dict(counters.chaos),
+            journaled=counters.journaled,
+            resumed=counters.resumed,
+            journal_replayed_sends=counters.journal_replayed_sends,
+            journal_recovered_results=counters.journal_recovered_results,
+            persistence=dataset.persistence_counts(),
+        )
 
     # ------------------------------------------------------------------
     def payload(self) -> Dict[str, Any]:

@@ -188,6 +188,31 @@ class TestCliCampaign:
         assert code == 2
         assert "mutually exclusive" in text
 
+    @pytest.mark.parametrize(
+        "shards", [[], ["--shards", "2"]], ids=["inline", "shards2"]
+    )
+    def test_resume_of_missing_journal_is_refused(self, tmp_path, shards):
+        missing = tmp_path / "missing.jsonl"
+        code, text = self.run_cli(
+            self.SMALL + ["campaign", "--resume", str(missing)] + shards
+        )
+        assert code == 2
+        assert f"--resume {missing}: no such journal" in text
+        assert not missing.exists()
+
+    @pytest.mark.parametrize(
+        "shards", [[], ["--shards", "2"]], ids=["inline", "shards2"]
+    )
+    def test_journal_onto_existing_file_is_refused(self, tmp_path, shards):
+        journal = tmp_path / "run.jsonl"
+        journal.write_text("an earlier run\n")
+        code, text = self.run_cli(
+            self.SMALL + ["campaign", "--journal", str(journal)] + shards
+        )
+        assert code == 2
+        assert f"use --resume {journal}" in text
+        assert journal.read_text() == "an earlier run\n"
+
     def test_unknown_chaos_profile_rejected(self):
         # Rejection moved from argparse choices= into the command so
         # that `--chaos list` can print the profile catalogue.

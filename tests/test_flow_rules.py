@@ -288,7 +288,7 @@ def test_perf_record_is_a_sink():
             """
             import time
 
-            from repro.report.perf import PerfRecord
+            from repro.report.bench import PerfRecord
 
             def commit(name):
                 return PerfRecord(name, time.perf_counter())

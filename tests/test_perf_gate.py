@@ -1,24 +1,21 @@
-"""The multi-scale perf gate and the hotspot-profile surface.
+"""The multi-scale perf gate.
 
 ``BENCH_probe.json`` is a format-2 *suite*: one seed, several scales,
 each scale a full report.  The gate (`gate_suite`) must check every
 committed scale — a scale silently dropped from a run is a regression
 — and prefix violations with the scale so CI output is attributable.
-The hotspot profiler behind ``repro bench --profile`` is exercised
-end-to-end through the CLI.
+Every committed record must carry every gated field.
 """
 
 from __future__ import annotations
 
-import cProfile
 import io
 import json
 
 import pytest
 
 from repro.cli import main
-from repro.report.bench import collect_hotspots, render_hotspot_table
-from repro.report.perf import (
+from repro.report.bench import (
     GATED_FIELDS,
     PerfRecord,
     PerfReport,
@@ -35,7 +32,6 @@ def record(label="serial", **overrides):
         max_in_flight=1,
         zone_cut_caching=False,
         targets=100,
-        wall_seconds=1.0,
         simulated_seconds=50.0,
         active_seconds=50.0,
         queries_sent=1000,
@@ -63,12 +59,26 @@ class TestScalePayloads:
         assert set(payloads) == {0.02, 0.05}
         assert payloads[0.05]["scale"] == 0.05
 
-    def test_legacy_single_report_format_still_reads(self):
-        legacy = PerfReport(scale=0.05, seed=7)
-        legacy.add(record(), baseline=True)
-        payloads = scale_payloads(json.loads(legacy.to_json()))
-        assert set(payloads) == {0.05}
-        assert payloads[0.05]["records"]["serial"]["targets"] == 100
+    def test_single_report_payload_is_rejected(self):
+        # Only format-2 suites are gate baselines: a bare report payload
+        # would otherwise gate a single scale and pass the rest unseen.
+        report = PerfReport(scale=0.05, seed=7)
+        report.add(record(), baseline=True)
+        with pytest.raises(ValueError, match="format-2"):
+            scale_payloads(json.loads(report.to_json()))
+
+    def test_cli_check_refuses_a_non_suite_file(self, tmp_path):
+        committed = tmp_path / "old.json"
+        committed.write_text(json.dumps({"scale": 0.002, "seed": 11}))
+        out = io.StringIO()
+        code = main(
+            ["--scale", "0.002", "--seed", "11", "bench",
+             "--out", str(tmp_path / "fresh.json"),
+             "--check", str(committed)],
+            out=out,
+        )
+        assert code == 2
+        assert "format-2" in out.getvalue()
 
 
 class TestGateSuite:
@@ -118,11 +128,23 @@ class TestGateSuite:
             assert f"serial.{fieldname}" in violation
 
     def test_wall_clock_drift_is_advisory(self):
+        # Virtual time is recorded for the reduction ratios, not gated.
         violations = gate_suite(
-            suite(wall_seconds=99.9, simulated_seconds=1.1),
+            suite(simulated_seconds=1.1, active_seconds=0.9),
             self.committed(),
         )
         assert violations == []
+
+    @pytest.mark.parametrize("fieldname", GATED_FIELDS)
+    def test_committed_record_missing_a_gated_field_is_a_violation(
+        self, fieldname
+    ):
+        committed = self.committed(scales=(0.05,))
+        del committed["scales"]["0.05"]["records"]["serial"][fieldname]
+        assert gate_suite(suite(scales=(0.05,)), committed) == [
+            f"scale 0.05: serial.{fieldname}: missing from the committed "
+            f"record"
+        ]
 
     def test_identity_mismatch_does_not_hide_field_drift(self):
         # A run taken at the wrong seed that ALSO drifted two counters
@@ -162,49 +184,3 @@ class TestGateSuite:
             "dataset_digest",
         }
 
-
-class TestHotspotSurface:
-    def profiled(self):
-        profiler = cProfile.Profile()
-        profiler.enable()
-        sorted(range(1000), key=lambda value: -value)
-        profiler.disable()
-        return profiler
-
-    def test_collect_hotspots_rows_are_json_ready(self):
-        rows = collect_hotspots(self.profiled(), top=5)
-        assert 0 < len(rows) <= 5
-        for row in rows:
-            assert set(row) == {
-                "function",
-                "ncalls",
-                "primitive_calls",
-                "tottime",
-                "cumtime",
-            }
-        json.dumps(rows)  # must not raise
-
-    def test_render_hotspot_table_is_aligned_text(self):
-        rows = collect_hotspots(self.profiled(), top=5)
-        table = render_hotspot_table(rows)
-        lines = table.splitlines()
-        assert "ncalls" in lines[0] and "function" in lines[0]
-        assert len(lines) == len(rows) + 2
-
-    def test_cli_bench_profile_writes_artifacts(self, tmp_path):
-        out_path = str(tmp_path / "bench.json")
-        out = io.StringIO()
-        code = main(
-            ["--scale", "0.002", "--seed", "11", "bench", "--out", out_path,
-             "--labels", "serial", "--profile"],
-            out=out,
-        )
-        assert code == 0
-        text = out.getvalue()
-        assert "hotspot profile" in text
-        with open(out_path + ".profile.json", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        assert payload["phases_profiled"] == ["probe", "merge", "analysis"]
-        assert payload["hotspots"], "profile must carry hotspot rows"
-        with open(out_path + ".profile.txt", encoding="utf-8") as fh:
-            assert "function" in fh.read()

@@ -11,13 +11,18 @@ provisional confidence.
 
 from __future__ import annotations
 
+import hashlib
+import io
+import json
 import random
 
 import pytest
 
-from repro.core.dataset import ServerOutcome
+from repro.cli import main
+from repro.core.dataset import MeasurementDataset, ServerOutcome
 from repro.core.delegation import DelegationAnalysis
 from repro.core.probe import ActiveProber, ProbeConfig
+from repro.core.shard import CampaignCounters
 from repro.dns import (
     A,
     AuthoritativeServer,
@@ -36,6 +41,7 @@ from repro.net.resilience import (
     BreakerState,
     CircuitBreaker,
 )
+from repro.report.resilience import ResilienceReport
 
 IP = IPv4Address.parse
 NAME = DnsName.parse
@@ -434,3 +440,55 @@ class TestTransientVsPersistent:
         network, domains = _build_shared_ns_world(domain_count=2)
         _, dataset = _probe(network, domains)
         assert dataset.persistence_counts() == {"persistent": 2}
+
+
+class TestResilienceReport:
+    """``repro campaign --resilience-out``: one report for every
+    executor, built from the campaign's counters."""
+
+    CHAOS_CAMPAIGN = ["--scale", "0.004", "campaign", "--chaos", "mixed"]
+    # sha256 of the inline report at seed 7: the counters a campaign
+    # reports must not move with the executor that ran it.
+    INLINE_SHA256 = (
+        "563654fc597d62785f6dc45e91397f1dabc18812fd1de707f4a62dd8350691ad"
+    )
+
+    @staticmethod
+    def report_bytes(tmp_path, argv):
+        path = tmp_path / "resilience.json"
+        out = io.StringIO()
+        assert main(argv + ["--resilience-out", str(path)], out=out) == 0
+        assert f"resilience report written to {path}" in out.getvalue()
+        return path.read_bytes()
+
+    @pytest.fixture(scope="class")
+    def inline(self, tmp_path_factory):
+        return self.report_bytes(
+            tmp_path_factory.mktemp("inline"), self.CHAOS_CAMPAIGN
+        )
+
+    def test_inline_report_is_pinned(self, inline):
+        assert hashlib.sha256(inline).hexdigest() == self.INLINE_SHA256
+
+    def test_single_shard_report_matches_inline(self, inline, tmp_path):
+        # K=1 keeps the original RNG streams, so every counter matches.
+        assert self.report_bytes(
+            tmp_path, self.CHAOS_CAMPAIGN + ["--shards", "1"]
+        ) == inline
+
+    def test_two_shard_report_folds_worker_counters(self, tmp_path):
+        payload = json.loads(
+            self.report_bytes(tmp_path, self.CHAOS_CAMPAIGN + ["--shards", "2"])
+        )
+        assert payload["chaos_profile"] == "mixed"
+        assert payload["chaos"] and all(payload["chaos"].values())
+        assert payload["retransmits"] > 0
+
+    def test_plain_campaign_reports_no_chaos(self):
+        report = ResilienceReport.collect(
+            CampaignCounters(retransmits=2), MeasurementDataset({})
+        )
+        assert report.chaos_profile is None and report.chaos == {}
+        assert "chaos profile" not in report.render()
+        assert report.payload()["retransmits"] == 2
+

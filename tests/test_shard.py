@@ -489,6 +489,38 @@ class TestCampaignCounters:
         assert folded.per_shard == tuple(parts)
         assert CampaignCounters.fold_shards([]) == CampaignCounters()
 
+    def test_resilience_counts_sum_and_journal_flags_or(self):
+        parts = [
+            CampaignCounters(
+                retransmits=3,
+                breaker_trips=1,
+                chaos={"outage_drops": 2, "burst_losses": 0},
+                journaled=True,
+                journal_replayed_sends=10,
+            ),
+            CampaignCounters(
+                retransmits=4,
+                breaker_open_at_end=2,
+                chaos={"outage_drops": 5, "burst_losses": 1},
+                journaled=True,
+                resumed=True,
+                journal_recovered_results=6,
+            ),
+        ]
+        folded = CampaignCounters.fold_shards(parts)
+        assert folded == CampaignCounters(
+            retransmits=7,
+            breaker_trips=1,
+            breaker_open_at_end=2,
+            chaos={"outage_drops": 7, "burst_losses": 1},
+            journaled=True,
+            resumed=True,
+            journal_replayed_sends=10,
+            journal_recovered_results=6,
+        )
+        # Folding never mutates the per-shard counters it keeps.
+        assert parts[0].chaos == {"outage_drops": 2, "burst_losses": 0}
+
     def test_sum_drops_the_shard_breakdown(self):
         folded = CampaignCounters.fold_shards(
             [CampaignCounters(targets=1), CampaignCounters(targets=2)]
