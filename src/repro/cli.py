@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .core.study import GovernmentDnsStudy
 from .lint import cli as lint_cli
@@ -37,6 +37,22 @@ from .report.tables import format_percent, render_table
 from .worldgen.churn import world_at_epoch
 
 __all__ = ["main", "build_parser"]
+
+
+def _parse_shards(value: str) -> int:
+    """argparse ``type=`` for every ``--shards`` option: a positive
+    worker count, or ``auto`` for the CPU count."""
+    if value == "auto":
+        return os.cpu_count() or 1
+    try:
+        shards = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer or 'auto', got {value!r}"
+        ) from None
+    if shards < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {shards}")
+    return shards
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,6 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--shards",
+        type=_parse_shards,
         default=None,
         metavar="N|auto",
         help=(
@@ -299,10 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     longitudinal.add_argument(
         "--shards",
-        type=int,
+        type=_parse_shards,
         default=None,
-        metavar="N",
-        help="probe each epoch through N worker processes",
+        metavar="N|auto",
+        help=(
+            "probe each epoch through N worker processes (auto = CPU "
+            "count)"
+        ),
     )
     longitudinal.add_argument(
         "--full",
@@ -558,25 +578,6 @@ def _check_chaos_arg(chaos: Optional[str], out) -> Optional[int]:
     return 2
 
 
-def _shard_count(value, out) -> Tuple[Optional[int], Optional[int]]:
-    """Validate a ``--shards`` value: ``(count, None)`` to proceed
-    (count None = in-process), or ``(None, 2)`` after reporting a usage
-    error.  ``auto`` is the CPU count."""
-    if value is None:
-        return None, None
-    if value == "auto":
-        return os.cpu_count() or 1, None
-    try:
-        shards = int(value)
-    except ValueError:
-        print(f"--shards must be an integer or 'auto', got {value!r}", file=out)
-        return None, 2
-    if shards < 1:
-        print(f"--shards must be >= 1, got {shards}", file=out)
-        return None, 2
-    return shards, None
-
-
 def _cmd_serve(args: argparse.Namespace, out) -> int:
     from .report.serving import ServingReport
     from .serve.profiles import run_serve
@@ -663,10 +664,7 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
         )
         return 2
 
-    shards, shards_status = _shard_count(args.shards, out)
-    if shards_status is not None:
-        return shards_status
-    if shards is not None and args.kill_at_event is not None:
+    if args.shards is not None and args.kill_at_event is not None:
         print(
             "--kill-at-event needs the single-process engine (its "
             "event count is tied to one scheduler); drop --shards",
@@ -690,7 +688,7 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
             world,
             targets,
             ProbeConfig(),
-            shards=shards,
+            shards=args.shards,
             suffixes=government_suffixes(study.seeds().values()),
             journal_path=journal_path,
             kill_at_event=args.kill_at_event,
@@ -730,11 +728,40 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
 
 def _cmd_bench(args: argparse.Namespace, out) -> int:
     from .report.bench import (
+        BENCH_CONFIGS,
+        LONGITUDINAL_LABELS,
         gate_suite,
         load_report_payload,
         run_probe_suite,
         scale_payloads,
     )
+
+    # Every argument is checked before the first label runs.
+    labels = tuple(
+        label.strip() for label in args.labels.split(",") if label.strip()
+    )
+    valid = (*BENCH_CONFIGS, *LONGITUDINAL_LABELS)
+    unknown = [label for label in labels if label not in valid]
+    if unknown:
+        print(
+            f"error: unknown bench label(s) {', '.join(unknown)}; choose "
+            f"from {', '.join(valid)}",
+            file=out,
+        )
+        return 2
+    try:
+        scales = tuple(
+            float(scale)
+            for scale in (args.scales or "").split(",")
+            if scale.strip()
+        )
+    except ValueError:
+        print(
+            f"error: --scales must be comma-separated numbers, got "
+            f"{args.scales!r}",
+            file=out,
+        )
+        return 2
 
     committed = None
     if args.check is not None:
@@ -744,21 +771,10 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
         except ValueError as error:
             print(f"error: {args.check}: {error}", file=out)
             return 2
-    labels = tuple(
-        label.strip() for label in args.labels.split(",") if label.strip()
-    )
-    if args.scales is not None:
-        scales = tuple(
-            float(scale.strip())
-            for scale in args.scales.split(",")
-            if scale.strip()
-        )
-    elif committed is not None:
-        # Gate mode defaults to every scale the baseline file commits
-        # to, so "check" always means "check everything committed".
-        scales = committed_scales
-    else:
-        scales = (args.scale,)
+        # Gate mode defaults to every scale the committed file holds,
+        # so "check" always means "check everything committed".
+        scales = scales or committed_scales
+    scales = scales or (args.scale,)
 
     suite = run_probe_suite(args.seed, scales, labels=labels)
     suite.write(args.out)
@@ -796,14 +812,11 @@ def _cmd_longitudinal(args: argparse.Namespace, out) -> int:
             file=out,
         )
         return 2
-    shards, shards_status = _shard_count(args.shards, out)
-    if shards_status is not None:
-        return shards_status
     runner = EpochRunner(
         world_at_epoch(args.seed, args.scale),
         incremental=not args.full,
         audit_rate=args.audit_rate,
-        shards=shards,
+        shards=args.shards,
     )
     runner.run(args.epochs)
     report = TrendReport.from_runner(runner)

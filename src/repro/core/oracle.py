@@ -13,10 +13,6 @@ Every disagreement is classified, never dropped:
     one side and not the other (e.g. chaos silenced the server the
     other side hit first), flipping REFERRAL↔ANSWER while the NS data
     stays consistent.  A known, benign observation asymmetry.
-``prober-bug`` / ``worldgen-bug``
-    Explicitly allowlisted known defects (the allowlist ships empty;
-    the mechanism exists so a triaged disagreement is visible, not
-    silenced).
 ``chaos-masked``
     A chaos profile was installed and the active run observed strictly
     *less* than the static truth — silence, refusals, lost referrals.
@@ -34,7 +30,7 @@ Every disagreement is classified, never dropped:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..dns.name import DnsName
 from ..zonelint.analyzer import GroundTruth, ZoneLinter
@@ -48,7 +44,6 @@ from .dataset import (
 from .delegation import DelegationAnalysis
 
 __all__ = [
-    "AllowlistEntry",
     "Disagreement",
     "OracleReport",
     "DifferentialOracle",
@@ -78,15 +73,6 @@ _SOFT_CHAOS = frozenset(
 _SOFT_PLAIN = frozenset(
     {ServerOutcome.TIMEOUT, ServerOutcome.BREAKER_OPEN}
 )
-
-
-@dataclass(frozen=True)
-class AllowlistEntry:
-    """A triaged known disagreement: classified, not silenced."""
-
-    domain: str
-    kind: str  # "prober-bug" or "worldgen-bug"
-    reason: str
 
 
 @dataclass(frozen=True)
@@ -130,15 +116,9 @@ class OracleReport:
 class DifferentialOracle:
     """Compares one campaign's dataset against a static truth table."""
 
-    def __init__(
-        self,
-        world,
-        table: Dict[DnsName, GroundTruth],
-        allowlist: Sequence[AllowlistEntry] = (),
-    ) -> None:
+    def __init__(self, world, table: Dict[DnsName, GroundTruth]) -> None:
         self._world = world
         self._table = table
-        self._allowlist = {entry.domain: entry for entry in allowlist}
 
     # ------------------------------------------------------------------
     def compare(
@@ -241,10 +221,6 @@ class DifferentialOracle:
         fields: List[str],
         chaos: bool,
     ) -> Tuple[str, str]:
-        entry = self._allowlist.get(str(static.domain))
-        if entry is not None:
-            return entry.kind, entry.reason
-
         if self._cohost_flip(static, active, fields):
             return _COHOSTED, (
                 f"parent walk flipped {static.parent_status}→"
@@ -359,7 +335,6 @@ def run_oracle_mode(
     scale: float,
     mode: str,
     chaos_profile: str = "mixed",
-    allowlist: Sequence[AllowlistEntry] = (),
 ) -> OracleReport:
     """Build a fresh world, run one campaign mode, compare.
 
@@ -400,5 +375,5 @@ def run_oracle_mode(
         profile = chaos_profile
         install_chaos_profile(world.network, chaos_profile, seed=seed)
     dataset = study.dataset()
-    oracle = DifferentialOracle(world, table, allowlist=allowlist)
+    oracle = DifferentialOracle(world, table)
     return oracle.compare(dataset, mode, chaos_profile=profile)

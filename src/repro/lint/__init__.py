@@ -12,24 +12,21 @@ linters do not check:
   active measurement did.
 
 ``reprolint`` parses every file once, walks the AST once, and dispatches
-each node to every registered :class:`~repro.lint.engine.Rule`.  Findings
-can be suppressed inline (``# reprolint: disable=RULE``) or grandfathered
-in a committed baseline file; *new* findings always fail the build (a
-ratchet).
+each node to every registered :class:`~repro.lint.engine.Rule`.  Any
+finding fails the build; the one way to accept one is an inline,
+justified ``# reprolint: disable=RULE`` comment on the offending line.
 
 Run it as ``python -m repro.lint src/`` or ``repro lint src/``.
 """
 
 from __future__ import annotations
 
-from .baseline import Baseline
 from .engine import LintEngine, ModuleContext, Rule, default_rules
 from .findings import Finding, Severity
 from .rules import ALL_RULES
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
     "Finding",
     "LintEngine",
     "ModuleContext",

@@ -1,7 +1,9 @@
 """Command-line front end: ``python -m repro.lint`` and ``repro lint``.
 
-Exit status: 0 when no non-baselined findings, 1 when new findings
-exist, 2 on usage errors.  ``configure_parser`` is shared with the main
+Exit status: 0 when there are no findings, 1 when any finding exists,
+2 on usage errors.  A finding is either fixed or carries an inline,
+justified ``# reprolint: disable=RULE`` comment; there is no other way
+to accept one.  ``configure_parser`` is shared with the main
 ``repro`` CLI so both entry points accept identical options.
 """
 
@@ -12,20 +14,12 @@ import sys
 from pathlib import Path
 from typing import IO, Any, List, Optional, Sequence
 
-from .baseline import DEFAULT_BASELINE_NAME, Baseline
 from .engine import LintEngine
 from .findings import Finding
 from .flow import FLOW_RULES, analyze_paths as analyze_flow
 from .output import FORMATS, render_report
 
-__all__ = [
-    "build_parser",
-    "configure_parser",
-    "load_baseline",
-    "run",
-    "main",
-    "write_baseline",
-]
+__all__ = ["build_parser", "configure_parser", "run", "main"]
 
 _VERSION = "1.1.0"
 
@@ -47,24 +41,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        help=(
-            "baseline file for grandfathered findings "
-            f"(default: ./{DEFAULT_BASELINE_NAME} when present)"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="re-generate the baseline from this run's findings and exit 0",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; every finding is treated as new",
-    )
-    parser.add_argument(
         "--analyzer",
         choices=ANALYZERS,
         default="all",
@@ -72,15 +48,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
             "which analyzer family to run: 'ast' (per-line syntactic "
             "rules), 'flow' (interprocedural dataflow/concurrency), or "
             "'all' (default)"
-        ),
-    )
-    parser.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help=(
-            "drop baseline rows whose file no longer exists or whose "
-            "fingerprinted line no longer appears, rewrite the file, "
-            "and exit 0"
         ),
     )
     parser.add_argument(
@@ -100,40 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     configure_parser(parser)
     return parser
-
-
-def _resolve_baseline_path(args: argparse.Namespace) -> Optional[Path]:
-    if args.no_baseline:
-        return None
-    if args.baseline is not None:
-        return Path(args.baseline)
-    default = Path(DEFAULT_BASELINE_NAME)
-    if default.exists() or args.write_baseline:
-        return default
-    return None
-
-
-def load_baseline(path: Path, out: IO[str]) -> Optional[Baseline]:
-    """Read the baseline at ``path`` (missing: empty).  An unreadable or
-    malformed file is reported as ``error: …`` and yields ``None``,
-    which every analyzer CLI returns as its usage-error exit 2."""
-    try:
-        return Baseline.load(path)
-    except ValueError as exc:
-        print(f"error: {exc}", file=out)
-        return None
-
-
-def write_baseline(
-    findings: Sequence[Finding], target: Path, out: IO[str]
-) -> int:
-    """Record ``findings`` as the new baseline at ``target``; exit 0."""
-    Baseline.from_findings(findings).dump(target)
-    print(
-        f"baseline written: {target} ({len(findings)} finding(s))",
-        file=out,
-    )
-    return 0
 
 
 def _selected_rules(engine: LintEngine, analyzer: str) -> List[Any]:
@@ -158,26 +91,6 @@ def run(args: argparse.Namespace, out: IO[str]) -> int:
             )
         return 0
 
-    if getattr(args, "prune_baseline", False):
-        target = (
-            Path(args.baseline)
-            if args.baseline is not None
-            else Path(DEFAULT_BASELINE_NAME)
-        )
-        baseline = load_baseline(target, out)
-        if baseline is None:
-            return 2
-        pruned, dropped = baseline.prune()
-        pruned.dump(target)
-        for rule, path, shown in dropped:
-            print(f"pruned: [{rule}] {path}: {shown!r}", file=out)
-        print(
-            f"baseline pruned: {target} "
-            f"({len(dropped)} row(s) dropped, {len(pruned)} kept)",
-            file=out,
-        )
-        return 0
-
     paths: List[Path] = [Path(p) for p in args.paths]
     missing = [p for p in paths if not p.exists()]
     if missing:
@@ -191,25 +104,9 @@ def run(args: argparse.Namespace, out: IO[str]) -> int:
     if analyzer in ("flow", "all"):
         findings.extend(analyze_flow(paths))
     findings.sort()
-    baseline_path = _resolve_baseline_path(args)
-
-    if args.write_baseline:
-        target = baseline_path if baseline_path is not None else Path(
-            DEFAULT_BASELINE_NAME
-        )
-        return write_baseline(findings, target, out)
-
-    baseline = (
-        load_baseline(baseline_path, out)
-        if baseline_path is not None
-        else Baseline()
-    )
-    if baseline is None:
-        return 2
-    match = baseline.match(findings)
     print(
         render_report(
-            match,
+            findings,
             args.format,
             _selected_rules(engine, analyzer),
             _VERSION,
@@ -217,7 +114,7 @@ def run(args: argparse.Namespace, out: IO[str]) -> int:
         ),
         file=out,
     )
-    return 1 if match.new else 0
+    return 1 if findings else 0
 
 
 def main(

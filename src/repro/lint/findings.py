@@ -4,32 +4,15 @@ reporters."""
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass, field
 from typing import Tuple
-
-
-def normalize_snippet(text: str) -> str:
-    """Whitespace-normalize an offending line for fingerprinting.
-
-    Collapsing interior runs and stripping the ends makes the
-    fingerprint survive re-indentation and formatting-only edits, which
-    are exactly the line drifts a baseline should not churn on.
-    """
-    return " ".join(text.split())
-
-
-def snippet_digest(text: str) -> str:
-    """Short stable hash of the normalized snippet (fingerprint part)."""
-    normalized = normalize_snippet(text)
-    return hashlib.sha256(normalized.encode("utf-8")).hexdigest()[:16]
 
 
 class Severity(enum.Enum):
     """How bad a finding is.
 
-    Exit status does not depend on severity — any non-baselined finding
-    fails the run — but reporters surface it (SARIF ``level``, text
+    Exit status does not depend on severity — any finding fails a
+    reprolint run — but reporters surface it (SARIF ``level``, text
     prefix) so readers can triage.
     """
 
@@ -78,15 +61,10 @@ class TraceHop:
 class Finding:
     """One rule violation at one source location.
 
-    ``snippet`` is the stripped text of the offending line; a hash of
-    its whitespace-normalized form, together with ``path`` and
-    ``rule_id``, is the baseline fingerprint — deliberately
-    line-number-free so unrelated edits above a grandfathered finding
-    do not un-baseline it, and whitespace-insensitive so reformatting
-    does not either.  ``trace`` (empty for single-location findings)
-    is the ordered source→sink hop list and stays outside the
-    fingerprint: a re-routed flow to the same sink is still the same
-    grandfathered finding.
+    ``snippet`` is the stripped text of the offending line.  ``trace``
+    (empty for single-location findings) is the ordered source→sink
+    hop list and stays out of ordering and equality: a finding is
+    identified by where it fires, not by the route its flow took.
     """
 
     path: str
@@ -97,11 +75,6 @@ class Finding:
     message: str
     snippet: str = ""
     trace: Tuple[TraceHop, ...] = field(default=(), compare=False)
-
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Stable identity for baseline matching:
-        ``(rule, path, hash(normalized snippet))``."""
-        return (self.rule_id, self.path, snippet_digest(self.snippet))
 
     def render(self) -> str:
         """One-line human-readable form."""

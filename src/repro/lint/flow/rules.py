@@ -107,10 +107,9 @@ RULE_FOR_TAINT: Dict[str, str] = {
 }
 
 # --- Sources -----------------------------------------------------------
-# Wall-clock reads.  Deliberately a superset of DET001's banned list:
-# ctime/asctime/strftime-style formatters read the clock just as
-# surely, and the whole point of the flow family is catching reads the
-# syntactic rule does not already police.
+# Wall-clock reads.  ctime/asctime-style formatters read the clock just
+# as surely as time.time().  DET001 bans every call here too (plus
+# time.sleep), so this is the one list of clock sources.
 CLOCK_SOURCES = frozenset(
     {
         "time.time",
@@ -133,7 +132,7 @@ CLOCK_SOURCES = frozenset(
     }
 )
 
-# Entropy / global-RNG reads (exact names).
+# Entropy / global-RNG reads (exact names); DET002 reads these tables too.
 RNG_SOURCES = frozenset(
     {
         "os.urandom",

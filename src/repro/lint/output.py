@@ -1,9 +1,8 @@
 """Reporters: text, JSON, and SARIF 2.1.0.
 
 SARIF is the interchange format GitHub code scanning and most editors
-ingest; the emitted document carries every rule's metadata plus a
-``baselineState`` per result so a viewer can distinguish ratcheted
-findings from new ones.
+ingest; the emitted document carries every rule's metadata plus one
+result per finding.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
-from .baseline import BaselineMatch
 from .findings import Finding
 
 __all__ = ["render_text", "render_json", "render_sarif", "render_report", "FORMATS"]
@@ -24,26 +22,13 @@ _SARIF_SCHEMA = (
 )
 
 
-def render_text(match: BaselineMatch) -> str:
-    """Human-readable report, new findings first."""
+def render_text(findings: Sequence[Finding]) -> str:
+    """Human-readable report: one line per finding, then a summary."""
     lines: List[str] = []
-    for finding in match.new:
+    for finding in findings:
         lines.append(finding.render())
         lines.extend(_trace_lines(finding))
-    for finding in match.baselined:
-        lines.append(f"{finding.render()} (baselined)")
-        lines.extend(_trace_lines(finding))
-    for rule, path, snippet in match.stale:
-        shown = snippet if len(snippet) <= 60 else snippet[:57] + "..."
-        lines.append(
-            f"stale baseline entry: [{rule}] {path}: {shown!r} no longer fires"
-        )
-    summary = (
-        f"{len(match.new)} new finding(s), "
-        f"{len(match.baselined)} baselined, "
-        f"{len(match.stale)} stale baseline entr(y/ies)"
-    )
-    lines.append(summary)
+    lines.append(f"{len(findings)} new finding(s)")
     return "\n".join(lines)
 
 
@@ -55,7 +40,7 @@ def _trace_lines(finding: Finding) -> List[str]:
     ]
 
 
-def _finding_dict(finding: Finding, baselined: bool) -> Dict[str, Any]:
+def _finding_dict(finding: Finding) -> Dict[str, Any]:
     payload: Dict[str, Any] = {
         "rule": finding.rule_id,
         "severity": finding.severity.value,
@@ -64,7 +49,6 @@ def _finding_dict(finding: Finding, baselined: bool) -> Dict[str, Any]:
         "column": finding.column,
         "message": finding.message,
         "snippet": finding.snippet,
-        "baselined": baselined,
     }
     if finding.trace:
         payload["trace"] = [
@@ -79,22 +63,11 @@ def _finding_dict(finding: Finding, baselined: bool) -> Dict[str, Any]:
     return payload
 
 
-def render_json(match: BaselineMatch) -> str:
+def render_json(findings: Sequence[Finding]) -> str:
     """Machine-readable report mirroring the text reporter's content."""
     payload = {
-        "findings": (
-            [_finding_dict(f, baselined=False) for f in match.new]
-            + [_finding_dict(f, baselined=True) for f in match.baselined]
-        ),
-        "stale_baseline": [
-            {"rule": rule, "path": path, "snippet": snippet}
-            for rule, path, snippet in match.stale
-        ],
-        "summary": {
-            "new": len(match.new),
-            "baselined": len(match.baselined),
-            "stale": len(match.stale),
-        },
+        "findings": [_finding_dict(f) for f in findings],
+        "summary": {"new": len(findings)},
     }
     return json.dumps(payload, indent=2)
 
@@ -106,12 +79,11 @@ def _physical_location(path: str, line: int, column: int) -> Dict[str, Any]:
     }
 
 
-def _sarif_result(finding: Finding, baselined: bool) -> Dict[str, Any]:
+def _sarif_result(finding: Finding) -> Dict[str, Any]:
     result: Dict[str, Any] = {
         "ruleId": finding.rule_id,
         "level": finding.severity.sarif_level,
         "message": {"text": finding.message},
-        "baselineState": "unchanged" if baselined else "new",
         "locations": [
             {
                 "physicalLocation": _physical_location(
@@ -151,7 +123,7 @@ def _sarif_result(finding: Finding, baselined: bool) -> Dict[str, Any]:
 
 
 def render_sarif(
-    match: BaselineMatch,
+    findings: Sequence[Finding],
     rules: Sequence[Any],
     version: str,
     tool: str = "reprolint",
@@ -186,13 +158,7 @@ def render_sarif(
                         "rules": driver_rules,
                     }
                 },
-                "results": (
-                    [_sarif_result(f, baselined=False) for f in match.new]
-                    + [
-                        _sarif_result(f, baselined=True)
-                        for f in match.baselined
-                    ]
-                ),
+                "results": [_sarif_result(f) for f in findings],
             }
         ],
     }
@@ -200,19 +166,19 @@ def render_sarif(
 
 
 def render_report(
-    match: BaselineMatch,
+    findings: Sequence[Finding],
     fmt: str,
     rules: Sequence[Any],
     version: str,
     tool: str,
     preamble: Optional[str] = None,
 ) -> str:
-    """``match`` in one of :data:`FORMATS` — the one report dispatch
+    """``findings`` in one of :data:`FORMATS` — the one report dispatch
     every analyzer CLI shares.  ``preamble`` heads the text report
     only; the JSON and SARIF documents stay machine-clean."""
     if fmt == "json":
-        return render_json(match)
+        return render_json(findings)
     if fmt == "sarif":
-        return render_sarif(match, rules, version, tool=tool)
-    text = render_text(match)
+        return render_sarif(findings, rules, version, tool=tool)
+    text = render_text(findings)
     return text if preamble is None else f"{preamble}\n{text}"

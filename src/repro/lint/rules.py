@@ -42,6 +42,12 @@ from typing import Iterator, List, Optional, Tuple, Type
 
 from .engine import ModuleContext, Rule
 from .findings import Finding, Severity
+from .flow.rules import (
+    CLOCK_SOURCES,
+    RNG_PREFIXES,
+    RNG_SEEDED_CONSTRUCTOR,
+    RNG_SOURCES,
+)
 
 __all__ = [
     "ALL_RULES",
@@ -71,23 +77,9 @@ class WallClockRule(Rule):
     severity = Severity.ERROR
     interests = (ast.Call,)
 
-    _BANNED = frozenset(
-        {
-            "time.time",
-            "time.time_ns",
-            "time.monotonic",
-            "time.monotonic_ns",
-            "time.perf_counter",
-            "time.perf_counter_ns",
-            "time.localtime",
-            "time.gmtime",
-            "time.sleep",
-            "datetime.datetime.now",
-            "datetime.datetime.utcnow",
-            "datetime.datetime.today",
-            "datetime.date.today",
-        }
-    )
+    # flowlint's clock-source table, plus sleeping on the wall clock
+    # (which returns nothing for a flow to carry).
+    _BANNED = CLOCK_SOURCES | {"time.sleep"}
     _EXEMPT_SUFFIX = "inet/clock.py"
 
     def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
@@ -120,20 +112,10 @@ class GlobalRandomRule(Rule):
     severity = Severity.ERROR
     interests = (ast.Call,)
 
-    _BANNED_EXACT = frozenset({"os.urandom", "uuid.uuid1", "uuid.uuid4"})
-
     def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
         assert isinstance(node, ast.Call)
         resolved = ctx.resolve(node.func)
         if resolved is None:
-            return
-        if resolved in self._BANNED_EXACT or resolved.startswith("secrets."):
-            yield self.finding(
-                node,
-                ctx,
-                f"{resolved}() is non-deterministic entropy; derive ids "
-                "from the world seed instead",
-            )
             return
         if resolved == "random.SystemRandom":
             yield self.finding(
@@ -141,7 +123,15 @@ class GlobalRandomRule(Rule):
                 "random.Random",
             )
             return
-        if resolved == "random.Random":
+        if resolved in RNG_SOURCES or resolved.startswith("secrets."):
+            yield self.finding(
+                node,
+                ctx,
+                f"{resolved}() is non-deterministic entropy; derive ids "
+                "from the world seed instead",
+            )
+            return
+        if resolved == RNG_SEEDED_CONSTRUCTOR:
             if not node.args and not node.keywords:
                 yield self.finding(
                     node,
@@ -150,7 +140,7 @@ class GlobalRandomRule(Rule):
                     "entropy; pass an explicit seed",
                 )
             return
-        if resolved.startswith("random."):
+        if resolved.startswith(RNG_PREFIXES):
             yield self.finding(
                 node,
                 ctx,

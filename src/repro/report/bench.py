@@ -137,7 +137,8 @@ class PerfReport:
         raise KeyError(f"no perf record labelled {label!r}")
 
     def reductions(self, label: str) -> Dict[str, float]:
-        """Baseline-over-config ratios (>1 means the config is cheaper).
+        """Ratios of the baseline record's cost over this config's (>1
+        means the config is cheaper).
 
         ``queries_sent``, ``network_queries`` and ``active_seconds``
         are each compared against the baseline record; a ratio of 2.0

@@ -10,7 +10,7 @@ all computed analytically from zonelint's ground truth, no simulation.
 ``servelint --verify`` then runs the real serving pipeline per profile
 and demands that every static-vs-observed disagreement classify into an
 explained bucket (chaos-masked, workload-never-queried,
-breaker-shadowed, allowlisted); anything unexplained fails the build.
+breaker-shadowed); anything unexplained fails the build.
 """
 
 from .analyzer import ServeLinter

@@ -9,9 +9,9 @@ for longer than any serve run, so its verdicts are deterministic — and
 emits one :class:`~repro.lint.findings.Finding` per SV rule violation.
 
 Findings use the same virtual ``world/<domain>`` paths as zonelint, so
-the shared text/JSON/SARIF reporters and the baseline ratchet work
-unchanged.  World-level findings (TTL cohorts, stale-window sizing)
-anchor at ``world/serving-config``.
+the shared text/JSON/SARIF reporters work unchanged.  World-level
+findings (TTL cohorts, stale-window sizing) anchor at
+``world/serving-config``.
 """
 
 from __future__ import annotations

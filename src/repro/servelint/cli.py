@@ -1,24 +1,22 @@
 """CLI for ``repro servelint``.
 
-Exit codes: 0 — analysis ran (and, with ``--baseline``, no finding
-escaped the ratchet); 1 — a finding not in the baseline, or
-``--verify`` left a disagreement unexplained; 2 — usage errors
-(argparse, an unreadable or malformed ``--allow`` or ``--baseline``
-file).
+Exit codes: 0 — analysis ran (findings describe the generated world,
+they are not failures); 1 — ``--verify`` left a disagreement
+unexplained; 2 — usage errors (argparse, an unknown ``--profiles``
+name).
 """
 
 from __future__ import annotations
 
 import argparse
-from pathlib import Path
 
-from ..lint.baseline import Baseline
-from ..lint.cli import load_baseline, write_baseline
 from ..lint.output import FORMATS, render_report
+from ..net.chaos import PROFILES
 from ..worldgen.churn import world_at_epoch
 from .analyzer import ServeLinter
+from .model import IDLE_PROFILE
 from .rules import SV_RULES
-from .verify import load_allowlist, oracle_json, render_oracle, verify_profile
+from .verify import oracle_json, render_oracle, verify_profile
 
 __all__ = ["configure_parser", "run"]
 
@@ -33,18 +31,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         choices=FORMATS,
         default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="suppress findings recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="PATH",
-        help="write current findings as the new baseline and exit",
     )
     parser.add_argument(
         "--duration",
@@ -75,12 +61,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--allow",
-        default=None,
-        metavar="PATH",
-        help="JSON allowlist of vouched {profile, domain, kind} triples",
-    )
-    parser.add_argument(
         "--json-out",
         default=None,
         metavar="PATH",
@@ -89,19 +69,16 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 
 
 def run(args: argparse.Namespace, out) -> int:
-    # Read every input file first: a bad one is a usage error (exit 2)
-    # reported before any analysis runs.
-    try:
-        allow = load_allowlist(args.allow)
-    except ValueError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    baseline = (
-        load_baseline(Path(args.baseline), out)
-        if args.baseline is not None
-        else Baseline()
-    )
-    if baseline is None:
+    # A bad profile name is a usage error, reported before worldgen.
+    profiles = [p.strip() for p in args.profiles.split(",") if p.strip()]
+    valid = (IDLE_PROFILE, *PROFILES)
+    unknown = [p for p in profiles if p not in valid]
+    if unknown:
+        print(
+            f"error: unknown profile(s) {', '.join(unknown)}; choose "
+            f"from {', '.join(valid)}",
+            file=out,
+        )
         return 2
 
     world = world_at_epoch(args.seed, args.scale)
@@ -112,14 +89,9 @@ def run(args: argparse.Namespace, out) -> int:
         name: truth.iso2 for name, truth in world.truths.items()
     }
     table = linter.zones.analyze_all(targets)
-    findings = linter.findings(table)
-
-    if args.write_baseline is not None:
-        return write_baseline(findings, Path(args.write_baseline), out)
-    match = baseline.match(findings)
     print(
         render_report(
-            match,
+            linter.findings(table),
             args.format,
             SV_RULES,
             _VERSION,
@@ -128,13 +100,9 @@ def run(args: argparse.Namespace, out) -> int:
         ),
         file=out,
     )
-
-    ratchet_failed = args.baseline is not None and bool(match.new)
-
     if not args.verify:
-        return 1 if ratchet_failed else 0
+        return 0
 
-    profiles = [p.strip() for p in args.profiles.split(",") if p.strip()]
     oracles = []
     for profile in profiles:
         oracle = verify_profile(
@@ -143,7 +111,6 @@ def run(args: argparse.Namespace, out) -> int:
             profile,
             duration=args.duration,
             qps=args.qps,
-            allow=allow,
         )
         oracles.append(oracle)
         print(render_oracle(oracle), file=out)
@@ -151,5 +118,4 @@ def run(args: argparse.Namespace, out) -> int:
         with open(args.json_out, "w", encoding="utf-8") as handle:
             handle.write(oracle_json(oracles))
         print(f"oracle report written to {args.json_out}", file=out)
-    failed = ratchet_failed or any(o.unexplained for o in oracles)
-    return 1 if failed else 0
+    return 1 if any(o.unexplained for o in oracles) else 0

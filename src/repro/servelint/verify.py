@@ -3,7 +3,7 @@
 Runs the real serving pipeline (:mod:`repro.serve`) per chaos profile
 and holds every observed per-domain degradation outcome to the static
 survivability model's prediction.  Every disagreement must land in one
-of four explained buckets; anything left is ``unexplained`` and fails
+of three explained buckets; anything left is ``unexplained`` and fails
 the build — the same zero-slack discipline the campaign oracle
 (:mod:`repro.core.oracle`) applies to zonelint.
 
@@ -12,8 +12,6 @@ Disagreement taxonomy
 ``workload-never-queried``
     The sampled workload never sent this (domain, kind); there is no
     observation to disagree with.  Counted as a coverage note.
-``allowlisted``
-    A committed allowlist entry (``--allow``) covers the triple.
 ``breaker-shadowed``
     The profile has probabilistic loss bursts, a *live* address on the
     domain's serve path tripped the circuit breaker, and every
@@ -33,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..dns.name import DnsName
 from ..serve.profiles import run_serve
@@ -46,16 +44,12 @@ from .model import IDLE_PROFILE, KINDS
 __all__ = [
     "Disagreement",
     "ProfileOracle",
-    "load_allowlist",
     "oracle_json",
     "render_oracle",
     "verify_profile",
 ]
 
 _RANK = {"fresh": 0, "stale_served": 1, "failed": 2}
-
-# (profile, domain-as-string, kind) triples the operator has vouched for.
-Allowlist = FrozenSet[Tuple[str, str, str]]
 
 
 @dataclass(frozen=True)
@@ -99,30 +93,6 @@ class ProfileOracle:
         ]
 
 
-def load_allowlist(path: Optional[str]) -> Allowlist:
-    """Read ``--allow`` JSON: a list of {profile, domain, kind} objects.
-
-    Raises ``ValueError`` on an unreadable file or a malformed entry.
-    """
-    if path is None:
-        return frozenset()
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            entries = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"unreadable allowlist {path}: {exc}") from exc
-    try:
-        return frozenset(
-            (entry["profile"], entry["domain"], entry["kind"])
-            for entry in entries
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(
-            f"malformed allowlist {path}: every entry needs profile, "
-            f"domain and kind ({exc!r})"
-        ) from exc
-
-
 def verify_profile(
     seed: int,
     scale: float,
@@ -130,7 +100,6 @@ def verify_profile(
     duration: float = 600.0,
     qps: float = 20.0,
     config: ServeConfig = ServeConfig(),
-    allow: Allowlist = frozenset(),
 ) -> ProfileOracle:
     """Serve one profile's run and classify every disagreement.
 
@@ -194,15 +163,7 @@ def verify_profile(
                 oracle.agreements += 1
                 continue
             classification = _classify(
-                profile,
-                domain,
-                kind,
-                states,
-                expected,
-                prediction.attempted,
-                outlook,
-                tripped,
-                allow,
+                states, expected, prediction.attempted, outlook, tripped
             )
             oracle.disagreements.append(
                 Disagreement(
@@ -217,18 +178,12 @@ def verify_profile(
 
 
 def _classify(
-    profile: str,
-    domain: DnsName,
-    kind: str,
     states: Set[str],
     expected: Set[str],
     attempted,
     outlook,
     tripped: FrozenSet,
-    allow: Allowlist,
 ) -> str:
-    if (profile, str(domain), kind) in allow:
-        return "allowlisted"
     floor = min(_RANK[state] for state in expected)
     unexpected = states - expected
     if any(_RANK[state] < floor for state in unexpected):
@@ -257,7 +212,6 @@ def render_oracle(oracle: ProfileOracle) -> str:
         f"  never queried      {oracle.never_queried}",
         f"  chaos-masked       {oracle.count('chaos-masked')}",
         f"  breaker-shadowed   {oracle.count('breaker-shadowed')}",
-        f"  allowlisted        {oracle.count('allowlisted')}",
         f"  unexplained        {len(oracle.unexplained)}",
     ]
     for item in oracle.unexplained:

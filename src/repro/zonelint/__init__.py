@@ -1,8 +1,7 @@
 """zonelint: a static delegation-graph analyzer and ground-truth oracle.
 
 The second analyzer family on the shared lint infrastructure
-(``repro.lint`` supplies findings, baselines, and the text/JSON/SARIF
-reporters).  Where reprolint checks the *source code*, zonelint checks
+(``repro.lint`` supplies findings and the text/JSON/SARIF reporters).  Where reprolint checks the *source code*, zonelint checks
 the *generated world*: it walks zones and the delegation graph without
 issuing a single simulated query and emits typed findings for every
 deployment smell the paper measures actively — plus a ground-truth

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 
-from ..lint.baseline import BaselineMatch
 from ..lint.output import FORMATS, render_report
 from ..worldgen.churn import world_at_epoch
 from .analyzer import ZoneLinter
@@ -49,7 +48,7 @@ def run(args: argparse.Namespace, out) -> int:
     findings = linter.findings(table)
     print(
         render_report(
-            BaselineMatch(new=findings),
+            findings,
             args.format,
             ZL_RULES,
             _VERSION,

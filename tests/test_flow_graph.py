@@ -386,7 +386,6 @@ def _run_flow_cli(tmp_path: Path, hash_seed: str) -> bytes:
             str(tree),
             "--analyzer",
             "flow",
-            "--no-baseline",
             "--format",
             "json",
         ],
@@ -427,7 +426,6 @@ def test_self_run_byte_identical_across_hashseed():
                 "src",
                 "--analyzer",
                 "flow",
-                "--no-baseline",
                 "--format",
                 "json",
             ],

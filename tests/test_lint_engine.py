@@ -1,4 +1,4 @@
-"""Engine-level tests: baseline ratchet, CLI exit codes, JSON/SARIF."""
+"""Engine-level tests: CLI exit codes, analyzer selection, JSON/SARIF."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import ALL_RULES, Baseline, LintEngine
+from repro.lint import ALL_RULES, LintEngine
 from repro.lint.cli import main as lint_main
 from repro.lint.flow import FLOW_RULES
 
@@ -64,131 +64,23 @@ class TestFixtureTree:
         assert fired == sorted(rule.rule_id for rule in ALL_RULES)
 
     def test_cli_exits_nonzero_on_violations(self, violation_tree: Path):
-        status, text = run_cli(str(violation_tree), "--no-baseline")
+        status, text = run_cli(str(violation_tree))
         assert status == 1
         assert f"{len(VIOLATIONS)} new finding(s)" in text
 
     def test_clean_tree_exits_zero(self, tmp_path: Path):
         (tmp_path / "ok.py").write_text("VALUE = 1\n", encoding="utf-8")
-        status, text = run_cli(str(tmp_path), "--no-baseline")
+        status, text = run_cli(str(tmp_path))
         assert status == 0
         assert "0 new finding(s)" in text
 
 
-class TestBaselineRatchet:
-    def test_baselined_findings_do_not_fail(self, violation_tree, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        status, _ = run_cli(
-            str(violation_tree), "--baseline", str(baseline), "--write-baseline"
-        )
-        assert status == 0
-        status, text = run_cli(
-            str(violation_tree), "--baseline", str(baseline)
-        )
-        assert status == 0
-        assert f"{len(VIOLATIONS)} baselined" in text
-
-    def test_new_finding_fails_despite_baseline(self, violation_tree, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        run_cli(
-            str(violation_tree), "--baseline", str(baseline), "--write-baseline"
-        )
-        (violation_tree / "fresh.py").write_text(
-            "import time\nNOW = time.time()\n", encoding="utf-8"
-        )
-        status, text = run_cli(
-            str(violation_tree), "--baseline", str(baseline)
-        )
-        assert status == 1
-        assert "1 new finding(s)" in text
-
-    def test_fixed_finding_reports_stale_entry(self, violation_tree, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        run_cli(
-            str(violation_tree), "--baseline", str(baseline), "--write-baseline"
-        )
-        (violation_tree / "det001.py").write_text("STAMP = 0.0\n", encoding="utf-8")
-        status, text = run_cli(
-            str(violation_tree), "--baseline", str(baseline)
-        )
-        assert status == 0
-        assert "stale baseline entry" in text
-        assert "1 stale" in text
-
-    def test_fingerprint_survives_line_drift(self, violation_tree, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        run_cli(
-            str(violation_tree), "--baseline", str(baseline), "--write-baseline"
-        )
-        original = (violation_tree / "det001.py").read_text(encoding="utf-8")
-        (violation_tree / "det001.py").write_text(
-            "# a new leading comment\n" + original, encoding="utf-8"
-        )
-        status, _ = run_cli(str(violation_tree), "--baseline", str(baseline))
-        assert status == 0
-
-    def test_v1_baseline_migrates_on_load(self, violation_tree, tmp_path):
-        # Version-1 rows carried the raw snippet; they must keep
-        # matching, and the next --write-baseline must rewrite the file
-        # as version 2 with hash+line rows.
-        status, text = run_cli(
-            str(violation_tree), "--no-baseline", "--format", "json"
-        )
-        payload = json.loads(text)
-        rows = [
-            {"rule": f["rule"], "path": f["path"], "snippet": f["snippet"]}
-            for f in payload["findings"]
-        ]
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps({"version": 1, "findings": rows}), encoding="utf-8"
-        )
-        status, text = run_cli(
-            str(violation_tree), "--baseline", str(baseline)
-        )
-        assert status == 0
-        assert f"{len(VIOLATIONS)} baselined" in text
-
-        status, _ = run_cli(
-            str(violation_tree), "--baseline", str(baseline), "--write-baseline"
-        )
-        assert status == 0
-        migrated = json.loads(baseline.read_text(encoding="utf-8"))
-        assert migrated["version"] == 2
-        assert migrated["findings"]
-        for row in migrated["findings"]:
-            assert "hash" in row and "line" in row
-            assert "snippet" not in row
-
-    def test_malformed_baseline_is_a_usage_error(self, violation_tree, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text("[]", encoding="utf-8")
-        status, text = run_cli(str(violation_tree), "--baseline", str(baseline))
-        assert status == 2
-        assert "malformed baseline" in text
-
-    def test_match_partitions_multiset(self):
-        engine = LintEngine()
-        findings = engine.lint_source(
-            "import time\na = time.time()\nb = time.time()\n", "m.py"
-        )
-        assert len(findings) == 2
-        baseline = Baseline.from_findings(findings[:1])
-        match = baseline.match(findings)
-        assert len(match.baselined) == 1
-        assert len(match.new) == 1
-        assert match.stale == []
-
-
 class TestReporters:
     def test_json_schema(self, violation_tree: Path):
-        status, text = run_cli(
-            str(violation_tree), "--no-baseline", "--format", "json"
-        )
+        status, text = run_cli(str(violation_tree), "--format", "json")
         assert status == 1
         payload = json.loads(text)
-        assert payload["summary"]["new"] == len(VIOLATIONS)
-        assert payload["summary"]["baselined"] == 0
+        assert payload["summary"] == {"new": len(VIOLATIONS)}
         first = payload["findings"][0]
         assert set(first) == {
             "rule",
@@ -198,13 +90,10 @@ class TestReporters:
             "column",
             "message",
             "snippet",
-            "baselined",
         }
 
     def test_sarif_smoke(self, violation_tree: Path):
-        status, text = run_cli(
-            str(violation_tree), "--no-baseline", "--format", "sarif"
-        )
+        status, text = run_cli(str(violation_tree), "--format", "sarif")
         assert status == 1
         document = json.loads(text)
         assert document["version"] == "2.1.0"
@@ -218,98 +107,9 @@ class TestReporters:
         } | {rule.rule_id for rule in FLOW_RULES}
         assert len(run["results"]) == len(VIOLATIONS)
         result = run["results"][0]
-        assert result["baselineState"] == "new"
         location = result["locations"][0]["physicalLocation"]
         assert location["region"]["startLine"] >= 1
         assert location["artifactLocation"]["uri"]
-
-    def test_sarif_marks_baselined_unchanged(self, violation_tree, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        run_cli(
-            str(violation_tree), "--baseline", str(baseline), "--write-baseline"
-        )
-        status, text = run_cli(
-            str(violation_tree),
-            "--baseline",
-            str(baseline),
-            "--format",
-            "sarif",
-        )
-        assert status == 0
-        document = json.loads(text)
-        states = {
-            result["baselineState"]
-            for result in document["runs"][0]["results"]
-        }
-        assert states == {"unchanged"}
-
-
-class TestPruneBaseline:
-    def _seed_baseline(self, violation_tree: Path, tmp_path: Path) -> Path:
-        baseline = tmp_path / "baseline.json"
-        status, _ = run_cli(
-            str(violation_tree), "--baseline", str(baseline), "--write-baseline"
-        )
-        assert status == 0
-        return baseline
-
-    def test_prune_drops_rows_for_deleted_files(self, violation_tree, tmp_path):
-        baseline = self._seed_baseline(violation_tree, tmp_path)
-        (violation_tree / "det001.py").unlink()
-        before = json.loads(baseline.read_text(encoding="utf-8"))
-        status, text = run_cli("--baseline", str(baseline), "--prune-baseline")
-        assert status == 0
-        assert "1 row(s) dropped" in text
-        after = json.loads(baseline.read_text(encoding="utf-8"))
-        assert len(after["findings"]) == len(before["findings"]) - 1
-        assert not any("det001.py" in row["path"] for row in after["findings"])
-
-    def test_prune_drops_rows_whose_line_was_rewritten(
-        self, violation_tree, tmp_path
-    ):
-        baseline = self._seed_baseline(violation_tree, tmp_path)
-        (violation_tree / "det001.py").write_text(
-            "STAMP = 0.0\n", encoding="utf-8"
-        )
-        status, text = run_cli("--baseline", str(baseline), "--prune-baseline")
-        assert status == 0
-        assert "1 row(s) dropped" in text
-        assert "det001.py" in text
-
-    def test_prune_keeps_live_rows_and_justifications(
-        self, violation_tree, tmp_path
-    ):
-        baseline = self._seed_baseline(violation_tree, tmp_path)
-        payload = json.loads(baseline.read_text(encoding="utf-8"))
-        payload["findings"][0]["justification"] = "kept on purpose"
-        baseline.write_text(json.dumps(payload), encoding="utf-8")
-        status, text = run_cli("--baseline", str(baseline), "--prune-baseline")
-        assert status == 0
-        assert "0 row(s) dropped" in text
-        after = json.loads(baseline.read_text(encoding="utf-8"))
-        assert len(after["findings"]) == len(payload["findings"])
-        assert any(
-            row.get("justification") == "kept on purpose"
-            for row in after["findings"]
-        )
-        # The pruned file still matches the live findings.
-        status, _ = run_cli(str(violation_tree), "--baseline", str(baseline))
-        assert status == 0
-
-    def test_prune_survives_whitespace_only_drift(
-        self, violation_tree, tmp_path
-    ):
-        # The liveness check hashes normalized lines, so reindenting the
-        # offending line must not drop its row.
-        baseline = self._seed_baseline(violation_tree, tmp_path)
-        original = (violation_tree / "det001.py").read_text(encoding="utf-8")
-        reindented = original.replace(
-            "STAMP = time.time()", "STAMP  =  time.time()"
-        )
-        (violation_tree / "det001.py").write_text(reindented, encoding="utf-8")
-        status, text = run_cli("--baseline", str(baseline), "--prune-baseline")
-        assert status == 0
-        assert "0 row(s) dropped" in text
 
 
 class TestAnalyzerSelector:
@@ -323,30 +123,26 @@ class TestAnalyzerSelector:
 
     def test_flow_selector_runs_only_flow_rules(self, tmp_path: Path):
         (tmp_path / "m.py").write_text(self.FLOW_ONLY, encoding="utf-8")
-        status, text = run_cli(
-            str(tmp_path), "--analyzer", "flow", "--no-baseline"
-        )
+        status, text = run_cli(str(tmp_path), "--analyzer", "flow")
         assert status == 1
         assert "FLW003" in text
 
     def test_ast_selector_skips_flow_rules(self, tmp_path: Path):
         (tmp_path / "m.py").write_text(self.FLOW_ONLY, encoding="utf-8")
-        status, text = run_cli(
-            str(tmp_path), "--analyzer", "ast", "--no-baseline"
-        )
+        status, text = run_cli(str(tmp_path), "--analyzer", "ast")
         assert status == 0
         assert "FLW" not in text
 
     def test_default_runs_both_families(self, tmp_path: Path):
         source = self.FLOW_ONLY + "\nimport time\nSTAMP = time.time()\n"
         (tmp_path / "m.py").write_text(source, encoding="utf-8")
-        status, text = run_cli(str(tmp_path), "--no-baseline")
+        status, text = run_cli(str(tmp_path))
         assert status == 1
         assert "FLW003" in text and "DET001" in text
 
     def test_flow_findings_render_trace_in_text(self, tmp_path: Path):
         (tmp_path / "m.py").write_text(self.FLOW_ONLY, encoding="utf-8")
-        _, text = run_cli(str(tmp_path), "--analyzer", "flow", "--no-baseline")
+        _, text = run_cli(str(tmp_path), "--analyzer", "flow")
         assert "os.environ.get" in text  # source hop note
         assert "reaches serialized output" in text  # sink hop note
 
@@ -378,7 +174,7 @@ class TestCliPlumbing:
 
         out = io.StringIO()
         status = repro_main(
-            ["lint", str(violation_tree), "--no-baseline"], out=out
+            ["lint", str(violation_tree)], out=out
         )
         assert status == 1
         assert "new finding(s)" in out.getvalue()

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from repro.lint import LintEngine
 
 
@@ -44,6 +46,22 @@ class TestDET001WallClock:
 
     def test_time_sleep_fires(self):
         assert rule_ids("import time\ntime.sleep(1)\n") == ["DET001"]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "time.process_time",
+            "time.process_time_ns",
+            "time.ctime",
+            "time.asctime",
+            "os.times",
+        ],
+    )
+    def test_every_flowlint_clock_source_fires(self, call):
+        # DET001 and FLW001 share one clock-source table.
+        module = call.partition(".")[0]
+        ids = rule_ids(f"import {module}\n\ndef f():\n    return {call}()\n")
+        assert ids == ["DET001"]
 
     def test_clock_module_is_exempt(self):
         ids = rule_ids(

@@ -1,8 +1,7 @@
-"""The ratchet applied to this repository itself.
+"""reprolint applied to this repository itself.
 
-``src/`` must stay free of non-baselined reprolint findings; the
-committed baseline is the only sanctioned escape hatch and must not
-rot (no stale entries).
+``src/`` must stay free of reprolint findings: every finding is either
+fixed or carries an inline, justified ``# reprolint: disable=`` comment.
 """
 
 from __future__ import annotations
@@ -10,47 +9,29 @@ from __future__ import annotations
 import io
 from pathlib import Path
 
-from repro.lint import Baseline, LintEngine
+from repro.lint import LintEngine
 from repro.lint.cli import main as lint_main
 from repro.lint.flow import analyze_paths as analyze_flow
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
-BASELINE = REPO_ROOT / "reprolint-baseline.json"
 
 
 def test_src_tree_has_no_new_findings():
     findings = LintEngine().lint_paths([SRC], root=REPO_ROOT)
-    match = Baseline.load(BASELINE).match(findings)
-    rendered = "\n".join(finding.render() for finding in match.new)
-    assert not match.new, f"non-baselined reprolint findings:\n{rendered}"
-
-
-def test_baseline_has_no_stale_entries():
-    findings = LintEngine().lint_paths([SRC], root=REPO_ROOT)
-    match = Baseline.load(BASELINE).match(findings)
-    assert not match.stale, (
-        "baseline entries no longer fire; regenerate with "
-        f"python -m repro.lint src/ --write-baseline: {match.stale}"
-    )
+    rendered = "\n".join(finding.render() for finding in findings)
+    assert not findings, f"reprolint findings:\n{rendered}"
 
 
 def test_flowlint_self_run_is_clean():
     # The interprocedural family holds on this repository too: every
-    # flow finding is either fixed or carries an inline justification,
-    # and the committed baseline stays empty of FLW rows.
+    # flow finding is either fixed or carries an inline justification.
     findings = analyze_flow([SRC], root=REPO_ROOT)
     rendered = "\n".join(finding.render() for finding in findings)
     assert not findings, f"non-suppressed flowlint findings:\n{rendered}"
-    baseline = Baseline.load(BASELINE)
-    assert not any(
-        rule.startswith("FLW") for rule, _, _ in baseline._counts
-    ), "flowlint findings must be fixed or suppressed, not baselined"
 
 
 def test_cli_exits_zero_on_src():
     out = io.StringIO()
-    status = lint_main(
-        [str(SRC), "--baseline", str(BASELINE)], out=out
-    )
+    status = lint_main([str(SRC)], out=out)
     assert status == 0, out.getvalue()

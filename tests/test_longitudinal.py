@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import os
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.core.dataset import DatasetColumns, MeasurementDataset
 from repro.core.epoch import EpochRunner
 from repro.core.journal import dataset_digest, result_to_dict
@@ -566,16 +567,17 @@ class TestLongitudinalCli:
         assert "mutually exclusive" in out.getvalue()
 
     @pytest.mark.parametrize("shards", ["0", "-2"])
-    def test_nonpositive_shards_rejected(self, shards):
-        out = io.StringIO()
-        code = main(["longitudinal", "--shards", shards], out)
-        assert code == 2
-        assert "--shards must be >= 1" in out.getvalue()
-
-    def test_shards_accepts_integers_only(self):
+    def test_nonpositive_shards_rejected(self, shards, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(["longitudinal", "--shards", "auto"], io.StringIO())
+            main(["longitudinal", "--shards", shards], io.StringIO())
         assert exit_info.value.code == 2
+        assert "argument --shards: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["campaign", "longitudinal"])
+    def test_shards_auto_is_the_cpu_count(self, command):
+        # Both subcommands share one --shards parser.
+        args = build_parser().parse_args([command, "--shards", "auto"])
+        assert args.shards == (os.cpu_count() or 1)
 
 
 # ----------------------------------------------------------------------

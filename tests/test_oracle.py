@@ -11,11 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.oracle import (
-    AllowlistEntry,
-    DifferentialOracle,
-    run_oracle_mode,
-)
+from repro.core.oracle import DifferentialOracle, run_oracle_mode
 from repro.zonelint import ZoneLinter
 
 from tests.conftest import TEST_SCALE, TEST_SEED
@@ -54,25 +50,6 @@ def test_chaos_campaign_has_zero_unexplained():
     # vacuous pass.
     assert report.agreed < report.total
     assert set(report.counts()) <= {"chaos-masked", "cohosted-parent"}
-
-
-def test_allowlist_entries_reclassify_not_silence(world, dataset):
-    table = _table_for(world, dataset)
-    # Corrupt one static entry so the oracle sees a disagreement, then
-    # allowlist it: it must surface under the triaged kind.
-    domain = sorted(table)[0]
-    table[domain].parent_status = "no_response"
-    entry = AllowlistEntry(
-        domain=str(domain),
-        kind="worldgen-bug",
-        reason="synthetic corruption for the test",
-    )
-    oracle = DifferentialOracle(world, table, allowlist=(entry,))
-    report = oracle.compare(dataset, "concurrent")
-    assert report.unexplained == []
-    kinds = [d.classification for d in report.disagreements]
-    assert kinds == ["worldgen-bug"]
-    assert report.disagreements[0].detail == entry.reason
 
 
 def test_unknown_mode_rejected():

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 
 from repro.lint import ALL_RULES, LintEngine
-from repro.lint.baseline import Baseline, BaselineMatch
 from repro.lint.findings import Finding, Severity
 from repro.lint.flow import FLOW_RULES, analyze_sources
 from repro.lint.output import render_sarif
@@ -44,7 +43,6 @@ def assert_sarif_shape(document, tool_name, rules):
         assert result["ruleId"] in known_ids
         assert result["level"] in _LEVELS
         assert result["message"]["text"]
-        assert result["baselineState"] in {"new", "unchanged"}
         (location,) = result["locations"]
         physical = location["physicalLocation"]
         assert physical["artifactLocation"]["uri"]
@@ -58,14 +56,10 @@ def test_reprolint_sarif_shape():
         "import time\nSTAMP = time.time()\n", "clock.py"
     )
     assert findings
-    # Exercise both baseline states in one document.
-    match = Baseline.from_findings(findings[:1]).match(findings * 2)
     document = json.loads(
-        render_sarif(match, ALL_RULES, "0.0-test", tool="reprolint")
+        render_sarif(findings, ALL_RULES, "0.0-test", tool="reprolint")
     )
     assert_sarif_shape(document, "reprolint", ALL_RULES)
-    states = {r["baselineState"] for r in document["runs"][0]["results"]}
-    assert states == {"new", "unchanged"}
 
 
 def test_zonelint_sarif_shape():
@@ -81,9 +75,8 @@ def test_zonelint_sarif_shape():
         )
         for rule_id in sorted(RULES_BY_ID)
     ]
-    match = BaselineMatch(new=findings)
     document = json.loads(
-        render_sarif(match, ZL_RULES, "1.0.0", tool="zonelint")
+        render_sarif(findings, ZL_RULES, "1.0.0", tool="zonelint")
     )
     assert_sarif_shape(document, "zonelint", ZL_RULES)
     # The virtual world/ paths survive the renderer untouched.
@@ -113,9 +106,8 @@ def test_servelint_sarif_shape():
         )
         for rule_id in sorted(SV_BY_ID)
     ]
-    match = BaselineMatch(new=findings)
     document = json.loads(
-        render_sarif(match, SV_RULES, "1.0.0", tool="servelint")
+        render_sarif(findings, SV_RULES, "1.0.0", tool="servelint")
     )
     assert_sarif_shape(document, "servelint", SV_RULES)
     # Every SV rule appears once; both virtual path anchors survive.
@@ -176,9 +168,8 @@ def test_flowlint_sarif_shape_with_thread_flows():
     """threadFlow-bearing results must keep the base shape *and* carry
     a well-formed codeFlows/relatedLocations pair per traced finding."""
     findings = _flow_findings()
-    match = BaselineMatch(new=findings)
     document = json.loads(
-        render_sarif(match, FLOW_RULES, "1.1.0", tool="reprolint")
+        render_sarif(findings, FLOW_RULES, "1.1.0", tool="reprolint")
     )
     assert_sarif_shape(document, "reprolint", FLOW_RULES)
     for result in document["runs"][0]["results"]:
@@ -211,9 +202,8 @@ def test_single_location_findings_omit_code_flows():
     findings = LintEngine().lint_source(
         "import time\nSTAMP = time.time()\n", "clock.py"
     )
-    match = BaselineMatch(new=findings)
     document = json.loads(
-        render_sarif(match, ALL_RULES, "1.1.0", tool="reprolint")
+        render_sarif(findings, ALL_RULES, "1.1.0", tool="reprolint")
     )
     for result in document["runs"][0]["results"]:
         assert "codeFlows" not in result

@@ -1,7 +1,7 @@
 """servelint: the static cache-survivability analyzer.
 
 Covers the model primitives, the SV finding emission over a generated
-world, the baseline ratchet, byte-level determinism of the reports
+world, byte-level determinism of the reports
 (including across hash seeds, via subprocess), the CLI wiring, and the
 serve-vs-static differential oracle's zero-unexplained contract at
 test scale.
@@ -21,7 +21,6 @@ import pytest
 
 from repro.cli import main
 from repro.dns.name import DnsName
-from repro.lint.baseline import Baseline, BaselineMatch
 from repro.lint.output import render_json, render_sarif
 from repro.serve.service import BackoffPolicy, DegradationState, ServeConfig
 from repro.servelint import RULES_BY_ID, SV_RULES, ServeLinter
@@ -156,24 +155,22 @@ class TestFindings:
 
 
 # ----------------------------------------------------------------------
-# Determinism and the baseline ratchet
+# Determinism
 # ----------------------------------------------------------------------
 class TestDeterminism:
     def test_rebuilt_linter_is_byte_identical(self, world, targets, findings):
         rebuilt = ServeLinter.for_world(world, seed=SEED)
         again = rebuilt.findings(rebuilt.zones.analyze_all(targets))
-        first = render_json(BaselineMatch(new=findings))
-        second = render_json(BaselineMatch(new=again))
+        first = render_json(findings)
+        second = render_json(again)
         assert first == second
         # Pins the findings bytes across refactors of the model.
         assert hashlib.sha256(first.encode()).hexdigest() == (
-            "21b340e8643d3128aca2adf39204798d18149d722f2e79afa8832c1df56f21f9"
+            "6ca57e94eecb8d2554ed77937855bcf4000df470df63d57128b36ff9d276f800"
         )
         assert render_sarif(
-            BaselineMatch(new=findings), SV_RULES, "1.0.0", tool="servelint"
-        ) == render_sarif(
-            BaselineMatch(new=again), SV_RULES, "1.0.0", tool="servelint"
-        )
+            findings, SV_RULES, "1.0.0", tool="servelint"
+        ) == render_sarif(again, SV_RULES, "1.0.0", tool="servelint")
 
     def test_sarif_bytes_survive_hash_seed_changes(self, tmp_path):
         outputs = []
@@ -204,14 +201,6 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
         json.loads(outputs[0])  # well-formed SARIF JSON
 
-    def test_baseline_ratchet_round_trip(self, tmp_path, findings):
-        path = tmp_path / "servelint-baseline.json"
-        Baseline.from_findings(findings).dump(path)
-        match = Baseline.load(path).match(findings)
-        assert not match.new
-        assert not match.stale
-        assert len(match.baselined) == len(findings)
-
 
 # ----------------------------------------------------------------------
 # CLI wiring
@@ -229,8 +218,15 @@ class TestCli:
         assert code == 0
         assert "domain(s) analyzed" in text
 
-    def test_baseline_write_then_ratchet(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
+    def test_unknown_profile_is_a_usage_error_before_worldgen(
+        self, monkeypatch
+    ):
+        import repro.servelint.cli as servelint_cli
+
+        def no_worldgen(*args, **kwargs):
+            raise AssertionError("worldgen ran before --profiles was checked")
+
+        monkeypatch.setattr(servelint_cli, "world_at_epoch", no_worldgen)
         code, text = self.run_cli(
             [
                 "--seed",
@@ -238,43 +234,15 @@ class TestCli:
                 "--scale",
                 str(SCALE),
                 "servelint",
-                "--write-baseline",
-                str(baseline),
+                "--verify",
+                "--profiles",
+                "idle,bogus",
             ]
         )
-        assert code == 0 and baseline.exists()
-        code, _ = self.run_cli(
-            [
-                "--seed",
-                str(SEED),
-                "--scale",
-                str(SCALE),
-                "servelint",
-                "--baseline",
-                str(baseline),
-            ]
-        )
-        assert code == 0  # nothing escapes its own baseline
-
-    @pytest.mark.parametrize(
-        "flag, content",
-        [
-            ("--allow", '[{"profile": "mixed"}]'),
-            ("--allow", "not json"),
-            ("--baseline", "not json"),
-        ],
-    )
-    def test_malformed_input_file_is_a_usage_error(
-        self, tmp_path, flag, content
-    ):
-        bad = tmp_path / "bad.json"
-        bad.write_text(content, encoding="utf-8")
-        argv = ["--seed", str(SEED), "--scale", str(SCALE), "servelint"]
-        if flag == "--allow":
-            argv.append("--verify")
-        code, text = self.run_cli([*argv, flag, str(bad)])
         assert code == 2
-        assert text.startswith("error: ") and str(bad) in text
+        assert text.startswith("error: ") and "bogus" in text
+        for profile in ("idle", "outage", "flaky", "mixed"):
+            assert profile in text
 
 
 # ----------------------------------------------------------------------

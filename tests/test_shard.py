@@ -562,12 +562,10 @@ class TestCliShardedCampaign:
         assert self.digest_line(sharded) == self.digest_line(plain)
 
     def test_shards_rejects_nonsense(self):
-        code, text = self.run_cli(self.SMALL + ["campaign", "--shards", "0"])
-        assert code == 2
-        code, text = self.run_cli(
-            self.SMALL + ["campaign", "--shards", "many"]
-        )
-        assert code == 2
+        for shards in ("0", "many"):
+            with pytest.raises(SystemExit) as exit_info:
+                self.run_cli(self.SMALL + ["campaign", "--shards", shards])
+            assert exit_info.value.code == 2
 
     def test_shards_refuses_kill_harness(self):
         code, text = self.run_cli(
@@ -646,6 +644,40 @@ class TestCliShardedCampaign:
         )
         assert code == 1
         assert "identity mismatch" in text
+
+    @pytest.mark.parametrize(
+        "flag, value, expected",
+        [
+            ("--labels", "serial,bogus", "unknown bench label(s) bogus"),
+            ("--scales", "x", "--scales must be comma-separated numbers"),
+        ],
+    )
+    def test_bench_rejects_bad_arguments_before_running(
+        self, monkeypatch, tmp_path, flag, value, expected
+    ):
+        import repro.report.bench as bench_module
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a bench label ran before validation")
+
+        monkeypatch.setattr(bench_module, "run_probe_record", no_run)
+        monkeypatch.setattr(bench_module, "run_longitudinal_record", no_run)
+        code, text = self.run_cli(
+            ["--scale", "0.002", "bench",
+             "--out", str(tmp_path / "bench.json"), flag, value]
+        )
+        assert code == 2
+        (line,) = text.splitlines()
+        assert line.startswith("error: ") and expected in line
+        if flag == "--labels":
+            for label in (
+                "serial",
+                "concurrent",
+                "sharded",
+                "longitudinal_full",
+                "longitudinal_incremental",
+            ):
+                assert label in line
 
 
 # ----------------------------------------------------------------------
