@@ -33,7 +33,7 @@ from .net.chaos import PROFILES as _ORACLE_CHAOS_PROFILES
 from .servelint import cli as servelint_cli
 from .zonelint import cli as zonelint_cli
 from .report.paperkit import ARTIFACTS, export_all
-from .report.tables import format_percent, render_table
+from .report.tables import format_count, format_percent, render_table
 from .worldgen.churn import world_at_epoch
 
 __all__ = ["main", "build_parser"]
@@ -72,17 +72,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("headline", help="study headline vs the paper")
+    headline = sub.add_parser("headline", help="study headline vs the paper")
+    headline.set_defaults(run=_cmd_headline)
 
     kit = sub.add_parser("paperkit", help="export every table/figure")
     kit.add_argument("outdir", help="directory for .txt/.csv artifacts")
+    kit.set_defaults(run=_cmd_paperkit)
 
     audit = sub.add_parser("audit", help="audit one country")
     audit.add_argument("iso2", help="ISO-3166 alpha-2 code, e.g. TR")
+    audit.set_defaults(run=_cmd_audit)
 
-    sub.add_parser("hijackscan", help="registrable nameserver domains")
+    hijackscan = sub.add_parser(
+        "hijackscan", help="registrable nameserver domains"
+    )
+    hijackscan.set_defaults(run=_cmd_hijackscan)
 
-    sub.add_parser("remediate", help="apply §V-B remedies, re-measure")
+    remediate = sub.add_parser(
+        "remediate", help="apply §V-B remedies, re-measure"
+    )
+    remediate.set_defaults(run=_cmd_remediate)
 
     disclose = sub.add_parser(
         "disclose", help="render responsible-disclosure notifications"
@@ -91,11 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
         "iso2", nargs="?", default=None,
         help="country to render (default: list all affected)",
     )
+    disclose.set_defaults(run=_cmd_disclose)
 
     lint = sub.add_parser(
         "lint", help="check determinism/error-hygiene/DNS-semantics invariants"
     )
     lint_cli.configure_parser(lint)
+    lint.set_defaults(run=lint_cli.run)
 
     zonelint = sub.add_parser(
         "zonelint",
@@ -105,6 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     zonelint_cli.configure_parser(zonelint)
+    zonelint.set_defaults(run=zonelint_cli.run)
 
     servelint = sub.add_parser(
         "servelint",
@@ -114,6 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     servelint_cli.configure_parser(servelint)
+    servelint.set_defaults(run=servelint_cli.run)
 
     oracle = sub.add_parser(
         "oracle",
@@ -142,6 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also write the full per-mode report as JSON to PATH",
     )
+    oracle.set_defaults(run=_cmd_oracle)
 
     campaign = sub.add_parser(
         "campaign",
@@ -195,6 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
             "count); the merged dataset digest is identical for any N"
         ),
     )
+    campaign.set_defaults(run=_cmd_campaign)
 
     serve = sub.add_parser(
         "serve",
@@ -247,6 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the ServingReport as JSON to PATH",
     )
+    serve.set_defaults(run=_cmd_serve)
 
     bench = sub.add_parser(
         "bench",
@@ -289,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
             "scale committed to the baseline file)"
         ),
     )
+    bench.set_defaults(run=_cmd_bench)
 
     longitudinal = sub.add_parser(
         "longitudinal",
@@ -347,11 +364,19 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the trend report as JSON to PATH",
     )
+    longitudinal.set_defaults(run=_cmd_longitudinal)
     return parser
 
 
 def _make_study(args: argparse.Namespace) -> GovernmentDnsStudy:
     return GovernmentDnsStudy(world_at_epoch(args.seed, args.scale))
+
+
+# Headline metrics that are counts (``len()`` of a target or result
+# set); every other metric is a share.
+_HEADLINE_COUNTS = frozenset(
+    {"targets", "parent_response", "parent_nonempty", "responsive"}
+)
 
 
 def _cmd_headline(args: argparse.Namespace, out) -> int:
@@ -369,14 +394,14 @@ def _cmd_headline(args: argparse.Namespace, out) -> int:
         "defective_full": "~4.1%",
         "consistent_share": "76.8%",
     }
-    rows = []
-    for key, value in headline.items():
-        shown = (
-            format_percent(value)
-            if 0.0 < value <= 1.0
-            else f"{int(value):,}"
-        )
-        rows.append([key, paper.get(key, "—"), shown])
+    rows = [
+        [
+            key,
+            paper.get(key, "—"),
+            format_count(value) if key in _HEADLINE_COUNTS else format_percent(value),
+        ]
+        for key, value in headline.items()
+    ]
     print(render_table(["Metric", "Paper", "Measured"], rows), file=out)
     return 0
 
@@ -514,18 +539,6 @@ def _cmd_disclose(args: argparse.Namespace, out) -> int:
         return 1
     print(render_package(package), file=out)
     return 0
-
-
-def _cmd_lint(args: argparse.Namespace, out) -> int:
-    return lint_cli.run(args, out)
-
-
-def _cmd_zonelint(args: argparse.Namespace, out) -> int:
-    return zonelint_cli.run(args, out)
-
-
-def _cmd_servelint(args: argparse.Namespace, out) -> int:
-    return servelint_cli.run(args, out)
 
 
 def _cmd_oracle(args: argparse.Namespace, out) -> int:
@@ -860,27 +873,9 @@ def _cmd_longitudinal(args: argparse.Namespace, out) -> int:
     return 0
 
 
-_COMMANDS = {
-    "headline": _cmd_headline,
-    "paperkit": _cmd_paperkit,
-    "audit": _cmd_audit,
-    "hijackscan": _cmd_hijackscan,
-    "remediate": _cmd_remediate,
-    "disclose": _cmd_disclose,
-    "lint": _cmd_lint,
-    "zonelint": _cmd_zonelint,
-    "servelint": _cmd_servelint,
-    "oracle": _cmd_oracle,
-    "campaign": _cmd_campaign,
-    "serve": _cmd_serve,
-    "bench": _cmd_bench,
-    "longitudinal": _cmd_longitudinal,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args, out if out is not None else sys.stdout)
+    return args.run(args, out if out is not None else sys.stdout)
 
 
 if __name__ == "__main__":  # pragma: no cover

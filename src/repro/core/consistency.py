@@ -18,7 +18,7 @@ paper's 13 d_ns / 26 domains / 7 countries finding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..dns.name import DnsName
 from ..registry.registrar import Quote, Registrar
@@ -91,7 +91,7 @@ class ConsistencyAnalysis:
 
     # ------------------------------------------------------------------
     def _address_set(
-        self, result: ProbeResult, hostnames: Tuple[DnsName, ...]
+        self, result: ProbeResult, hostnames: Iterable[DnsName]
     ) -> Set:
         addresses = set()
         for hostname in hostnames:
@@ -124,8 +124,8 @@ class ConsistencyAnalysis:
             else:
                 verdict = ConsistencyClass.OVERLAP_NEITHER
         else:
-            parent_ips = self._address_set(result, tuple(parent))
-            child_ips = self._address_set(result, tuple(child))
+            parent_ips = self._address_set(result, parent)
+            child_ips = self._address_set(result, child)
             if parent_ips & child_ips:
                 verdict = ConsistencyClass.DISJOINT_IP_OVERLAP
             else:

@@ -979,11 +979,10 @@ class ActiveProber:
         if journal is not None:
             # Round-one results are final unless the retry round will
             # mutate them; those are journaled after the retry.
-            retry_set = {id(r) for r in needs_retry}
+            retry_domains = {r.domain for r in needs_retry}
             for domain in order:
-                result = results[domain]
-                if id(result) not in retry_set:
-                    journal.record_result(self._network, result)
+                if domain not in retry_domains:
+                    journal.record_result(self._network, results[domain])
         if needs_retry:
             self._clock.advance(
                 self.config.retry_interval_days * 86_400

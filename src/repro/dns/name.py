@@ -75,7 +75,8 @@ class _NameForms:
 
     def __init__(self, labels: Tuple[str, ...]) -> None:
         self.labels = labels
-        self.hash = hash(labels)
+        # Cached for DnsName.__hash__ only; never ordered or serialized.
+        self.hash = hash(labels)  # reprolint: disable=DET005
         self.sort_key: Optional[Tuple[str, ...]] = None
         self.text: Optional[str] = None
         self.wire: Optional[bytes] = None

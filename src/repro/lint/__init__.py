@@ -12,7 +12,9 @@ linters do not check:
   active measurement did.
 
 ``reprolint`` parses every file once, walks the AST once, and dispatches
-each node to every registered :class:`~repro.lint.engine.Rule`.  Any
+each node to every registered :class:`~repro.lint.engine.Rule`.  Each
+rule flags the line to fix: a nondeterminism source where it enters,
+or a hazard inside one function; none follows a value across calls.  Any
 finding fails the build; the one way to accept one is an inline,
 justified ``# reprolint: disable=RULE`` comment on the offending line.
 

@@ -12,18 +12,14 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import IO, Any, List, Optional, Sequence
+from typing import IO, List, Optional, Sequence
 
 from .engine import LintEngine
-from .findings import Finding
-from .flow import FLOW_RULES, analyze_paths as analyze_flow
 from .output import FORMATS, render_report
 
 __all__ = ["build_parser", "configure_parser", "run", "main"]
 
-_VERSION = "1.1.0"
-
-ANALYZERS = ("ast", "flow", "all")
+_VERSION = "2.0.0"
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
@@ -41,16 +37,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--analyzer",
-        choices=ANALYZERS,
-        default="all",
-        help=(
-            "which analyzer family to run: 'ast' (per-line syntactic "
-            "rules), 'flow' (interprocedural dataflow/concurrency), or "
-            "'all' (default)"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule pack and exit",
@@ -62,29 +48,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.lint",
         description=(
             "AST-based invariant checker: determinism, error hygiene, "
-            "and DNS semantics"
+            "DNS semantics and task concurrency"
         ),
     )
     configure_parser(parser)
     return parser
 
 
-def _selected_rules(engine: LintEngine, analyzer: str) -> List[Any]:
-    """Rule descriptors for reporting, per analyzer selection."""
-    rules: List[Any] = []
-    if analyzer in ("ast", "all"):
-        rules.extend(engine.rules)
-    if analyzer in ("flow", "all"):
-        rules.extend(FLOW_RULES)
-    return rules
-
-
 def run(args: argparse.Namespace, out: IO[str]) -> int:
     """Execute a lint run described by parsed arguments."""
     engine = LintEngine()
-    analyzer = getattr(args, "analyzer", "all")
     if args.list_rules:
-        for rule in _selected_rules(engine, analyzer):
+        for rule in engine.rules:
             print(
                 f"{rule.rule_id}  [{rule.severity.value}]  {rule.description}",
                 file=out,
@@ -98,19 +73,10 @@ def run(args: argparse.Namespace, out: IO[str]) -> int:
         print(f"error: no such path(s): {shown}", file=out)
         return 2
 
-    findings: List[Finding] = []
-    if analyzer in ("ast", "all"):
-        findings.extend(engine.lint_paths(paths))
-    if analyzer in ("flow", "all"):
-        findings.extend(analyze_flow(paths))
-    findings.sort()
+    findings = engine.lint_paths(paths)
     print(
         render_report(
-            findings,
-            args.format,
-            _selected_rules(engine, analyzer),
-            _VERSION,
-            tool="reprolint",
+            findings, args.format, engine.rules, _VERSION, tool="reprolint"
         ),
         file=out,
     )

@@ -4,7 +4,8 @@ A :class:`Rule` declares which AST node types it wants via ``interests``
 and receives each matching node exactly once per file, together with a
 :class:`ModuleContext` carrying the parse tree, source lines, and a
 resolved import map (so ``dt.datetime.now`` is recognisable as
-``datetime.datetime.now`` regardless of aliasing).
+``datetime.datetime.now`` regardless of aliasing).  A per-function rule
+asks for ``FunctionDef`` nodes and reads the body itself.
 
 Inline suppression: a ``# reprolint: disable=RULE1,RULE2`` (or
 ``disable=all``) comment on the offending line silences those rules for
@@ -17,17 +18,31 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Type,
+    Union,
+)
 
 from .findings import Finding, Severity
 
 __all__ = [
+    "FunctionNode",
     "ModuleContext",
     "Rule",
     "LintEngine",
     "default_rules",
     "iter_python_files",
 ]
+
+FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 _SUPPRESSION = re.compile(r"#\s*reprolint:\s*disable=([A-Za-z0-9_,\s]+)")
 
@@ -40,6 +55,7 @@ class ModuleContext:
     tree: ast.Module
     lines: Sequence[str]
     imports: Dict[str, str] = field(default_factory=dict)
+    _parents: Optional[Dict[ast.AST, ast.AST]] = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
     def line_text(self, lineno: int) -> str:
@@ -80,6 +96,21 @@ class ModuleContext:
         if mapped is None:
             return dotted
         return f"{mapped}.{rest}" if rest else mapped
+
+    def enclosing_function(self, node: ast.AST) -> Optional[FunctionNode]:
+        """The innermost ``def`` around ``node`` (None at module level)."""
+        if self._parents is None:
+            self._parents = {
+                child: parent
+                for parent in ast.walk(self.tree)
+                for child in ast.iter_child_nodes(parent)
+            }
+        current = self._parents.get(node)
+        while current is not None:
+            if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                return current
+            current = self._parents.get(current)
+        return None
 
     def imports_module(self, module: str) -> bool:
         """True when ``module`` (or a member of it) is imported here."""

@@ -4,8 +4,7 @@ reporters."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import dataclass
 
 
 class Severity(enum.Enum):
@@ -30,7 +29,7 @@ class RuleDescriptor:
     """One rule's reporting metadata (SARIF ``rules`` / ``--list-rules``).
 
     Every analyzer family whose rules are data rather than AST visitors
-    (flowlint, zonelint, servelint) describes them with this one type;
+    (zonelint, servelint) describes them with this one type;
     reprolint's :class:`~repro.lint.engine.Rule` classes carry the same
     three attributes, so the shared reporters accept either.
     """
@@ -41,30 +40,10 @@ class RuleDescriptor:
 
 
 @dataclass(frozen=True, order=True)
-class TraceHop:
-    """One step on a finding's source→sink path.
-
-    Interprocedural findings (the ``flowlint`` family) carry the whole
-    path a tainted value travelled: where nondeterminism entered, every
-    call boundary it crossed, and the sink it reached.  Reporters
-    render the hops as SARIF ``codeFlows``/``threadFlows`` plus
-    ``relatedLocations``.
-    """
-
-    path: str
-    line: int
-    column: int
-    note: str = ""
-
-
-@dataclass(frozen=True, order=True)
 class Finding:
     """One rule violation at one source location.
 
-    ``snippet`` is the stripped text of the offending line.  ``trace``
-    (empty for single-location findings) is the ordered source→sink
-    hop list and stays out of ordering and equality: a finding is
-    identified by where it fires, not by the route its flow took.
+    ``snippet`` is the stripped text of the offending line.
     """
 
     path: str
@@ -74,7 +53,6 @@ class Finding:
     severity: Severity
     message: str
     snippet: str = ""
-    trace: Tuple[TraceHop, ...] = field(default=(), compare=False)
 
     def render(self) -> str:
         """One-line human-readable form."""

@@ -8,7 +8,7 @@ result per finding.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from .findings import Finding
 
@@ -24,24 +24,13 @@ _SARIF_SCHEMA = (
 
 def render_text(findings: Sequence[Finding]) -> str:
     """Human-readable report: one line per finding, then a summary."""
-    lines: List[str] = []
-    for finding in findings:
-        lines.append(finding.render())
-        lines.extend(_trace_lines(finding))
+    lines = [finding.render() for finding in findings]
     lines.append(f"{len(findings)} new finding(s)")
     return "\n".join(lines)
 
 
-def _trace_lines(finding: Finding) -> List[str]:
-    """Indented source→sink hops for the text reporter."""
-    return [
-        f"    {index}. {hop.path}:{hop.line}:{hop.column} {hop.note}"
-        for index, hop in enumerate(finding.trace, start=1)
-    ]
-
-
 def _finding_dict(finding: Finding) -> Dict[str, Any]:
-    payload: Dict[str, Any] = {
+    return {
         "rule": finding.rule_id,
         "severity": finding.severity.value,
         "path": finding.path,
@@ -50,17 +39,6 @@ def _finding_dict(finding: Finding) -> Dict[str, Any]:
         "message": finding.message,
         "snippet": finding.snippet,
     }
-    if finding.trace:
-        payload["trace"] = [
-            {
-                "path": hop.path,
-                "line": hop.line,
-                "column": hop.column,
-                "note": hop.note,
-            }
-            for hop in finding.trace
-        ]
-    return payload
 
 
 def render_json(findings: Sequence[Finding]) -> str:
@@ -72,54 +50,26 @@ def render_json(findings: Sequence[Finding]) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _physical_location(path: str, line: int, column: int) -> Dict[str, Any]:
-    return {
-        "artifactLocation": {"uri": path, "uriBaseId": "SRCROOT"},
-        "region": {"startLine": line, "startColumn": column},
-    }
-
-
 def _sarif_result(finding: Finding) -> Dict[str, Any]:
-    result: Dict[str, Any] = {
+    return {
         "ruleId": finding.rule_id,
         "level": finding.severity.sarif_level,
         "message": {"text": finding.message},
         "locations": [
             {
-                "physicalLocation": _physical_location(
-                    finding.path, finding.line, finding.column
-                )
+                "physicalLocation": {
+                    "artifactLocation": {
+                        "uri": finding.path,
+                        "uriBaseId": "SRCROOT",
+                    },
+                    "region": {
+                        "startLine": finding.line,
+                        "startColumn": finding.column,
+                    },
+                }
             }
         ],
     }
-    if finding.trace:
-        # The interprocedural source→sink path: threadFlow locations in
-        # hop order (what SARIF viewers step through), mirrored as
-        # relatedLocations so flat renderers surface the hops too.
-        hop_locations = [
-            {
-                "location": {
-                    "physicalLocation": _physical_location(
-                        hop.path, hop.line, hop.column
-                    ),
-                    "message": {"text": hop.note or "flow step"},
-                }
-            }
-            for hop in finding.trace
-        ]
-        result["codeFlows"] = [
-            {"threadFlows": [{"locations": hop_locations}]}
-        ]
-        result["relatedLocations"] = [
-            {
-                "physicalLocation": _physical_location(
-                    hop.path, hop.line, hop.column
-                ),
-                "message": {"text": hop.note or "flow step"},
-            }
-            for hop in finding.trace
-        ]
-    return result
 
 
 def render_sarif(

@@ -1,15 +1,21 @@
 """The shipped rule pack.
 
+Every rule flags the line to fix: a source of nondeterminism where it
+enters, or a hazard inside one function.  None traces a flow.
+
 Determinism
 -----------
 ``DET001``  wall-clock reads outside :mod:`repro.inet.clock`
 ``DET002``  global / unseeded randomness (module-level ``random.*``,
             ``os.urandom``, ``uuid.uuid4``, ``secrets``)
 ``DET003``  unordered ``set`` / ``dict.keys`` iteration feeding ordered
-            output without ``sorted()``
+            output without ``sorted()``, including a set bound to a
+            name earlier in the same function
 ``DET004``  full-world iteration (``.truths`` / ``.targets()``) inside
             epoch-scoped code (``repro/core/epoch*``), where steady-state
             cost must scale with the delta, not the universe
+``DET005``  environment reads (``os.environ``, ``os.getenv``) and
+            object identity (``id()``, ``hash()`` outside ``__hash__``)
 
 Error hygiene
 -------------
@@ -31,6 +37,14 @@ Architecture
             ``repro.zonelint`` must not import ``repro.core``, and
             ``repro.lint``/``repro.inet`` import nothing above the
             stdlib
+
+Task concurrency
+----------------
+``FLW101``  a generator task writes shared state (``self.*``, a
+            ``global`` or ``nonlocal``) after a yield point
+``FLW102``  ``random.Random`` seeded with a numeric literal
+``FLW103``  ``put``/``invalidate``/``flush`` after ``freeze()`` on the
+            same receiver
 """
 
 from __future__ import annotations
@@ -38,29 +52,105 @@ from __future__ import annotations
 import ast
 import re
 import sys
-from typing import Iterator, List, Optional, Tuple, Type
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Type
 
-from .engine import ModuleContext, Rule
+from .engine import FunctionNode, ModuleContext, Rule
 from .findings import Finding, Severity
-from .flow.rules import (
-    CLOCK_SOURCES,
-    RNG_PREFIXES,
-    RNG_SEEDED_CONSTRUCTOR,
-    RNG_SOURCES,
-)
 
 __all__ = [
     "ALL_RULES",
+    "CLOCK_SOURCES",
+    "RNG_SOURCES",
+    "RNG_PREFIXES",
+    "RNG_SEEDED_CONSTRUCTOR",
+    "ENV_SOURCES",
+    "ENV_MAPPING",
+    "OBJECT_SOURCES",
+    "FREEZABLE_METHODS",
     "WallClockRule",
     "GlobalRandomRule",
     "UnsortedSetIterationRule",
     "EpochFullWorldIterationRule",
+    "EnvironmentIdentityRule",
     "SilentExceptRule",
     "StringDnsComparisonRule",
     "MissingTimeoutRetryRule",
     "RetryBackoffRule",
     "ImportLayeringRule",
+    "YieldSharedWriteRule",
+    "ConstantSeedRule",
+    "FrozenCacheWriteRule",
 ]
+
+# --- Sources of nondeterminism -----------------------------------------
+# Names are matched after resolving each module's imports, so aliasing
+# (``import time as t``) cannot hide a source.
+
+# Wall-clock reads.  ctime/asctime-style formatters read the clock just
+# as surely as time.time().
+CLOCK_SOURCES = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.process_time",
+        "time.process_time_ns",
+        "time.localtime",
+        "time.gmtime",
+        "time.ctime",
+        "time.asctime",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+        "os.times",
+    }
+)
+
+# Entropy reads (exact names).
+RNG_SOURCES = frozenset(
+    {
+        "os.urandom",
+        "uuid.uuid1",
+        "uuid.uuid4",
+        "random.SystemRandom",
+    }
+)
+# Any call under these prefixes is a global-RNG draw...
+RNG_PREFIXES = ("random.", "secrets.")
+# ...except constructing an explicitly seeded stream, the sanctioned
+# idiom: with a seed argument it is clean, without one it is entropy.
+RNG_SEEDED_CONSTRUCTOR = "random.Random"
+
+# Environment reads: calls, plus the mapping any reference to which is
+# a read.
+ENV_SOURCES = frozenset({"os.getenv"})
+ENV_MAPPING = "os.environ"
+
+# Object identity: builtin -> why its value differs between runs.
+OBJECT_SOURCES = {
+    "id": "is an allocation address and differs run to run",
+    "hash": "of str/bytes changes with PYTHONHASHSEED",
+}
+
+# Cache mutators that are silent no-ops once the receiver is frozen.
+FREEZABLE_METHODS = frozenset({"put", "invalidate", "flush"})
+
+
+def _own_nodes(function: FunctionNode) -> Iterator[ast.AST]:
+    """Every node of a function body, without entering nested defs
+    (each of those gets its own visit)."""
+    stack: List[ast.AST] = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            stack.extend(ast.iter_child_nodes(node))
 
 
 class WallClockRule(Rule):
@@ -77,8 +167,7 @@ class WallClockRule(Rule):
     severity = Severity.ERROR
     interests = (ast.Call,)
 
-    # flowlint's clock-source table, plus sleeping on the wall clock
-    # (which returns nothing for a flow to carry).
+    # Every clock source, plus sleeping on the wall clock.
     _BANNED = CLOCK_SOURCES | {"time.sleep"}
     _EXEMPT_SUFFIX = "inet/clock.py"
 
@@ -149,6 +238,18 @@ class GlobalRandomRule(Rule):
             )
 
 
+def _builds_set(node: ast.expr) -> bool:
+    """Is ``node`` a set literal, a set comprehension, ``set()`` or
+    ``frozenset()``?"""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("set", "frozenset")
+    )
+
+
 def _unordered_source(node: ast.expr) -> Optional[str]:
     """Describe ``node`` when its iteration order is set-like, else None."""
     if isinstance(node, ast.Set):
@@ -164,6 +265,77 @@ def _unordered_source(node: ast.expr) -> Optional[str]:
     return None
 
 
+def _set_names(function: FunctionNode) -> FrozenSet[str]:
+    """Local names that every binding in ``function`` makes a set.
+
+    A name also bound any other way (a parameter, a loop target, an
+    assignment of anything else) is left out, so a later ``bag =
+    sorted(bag)`` clears it.  Augmented assignment keeps the binding.
+    """
+    builders: List[ast.Name] = []
+    augmented: Set[ast.expr] = set()
+    for node in _own_nodes(function):
+        target: Optional[ast.expr] = None
+        value: Optional[ast.expr] = None
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+        elif isinstance(node, (ast.AnnAssign, ast.NamedExpr)):
+            target, value = node.target, node.value
+        elif isinstance(node, ast.AugAssign):
+            augmented.add(node.target)
+        if (
+            isinstance(target, ast.Name)
+            and value is not None
+            and _builds_set(value)
+        ):
+            builders.append(target)
+    args = function.args
+    other = {
+        arg.arg
+        for arg in (
+            *args.posonlyargs,
+            *args.args,
+            *args.kwonlyargs,
+            args.vararg,
+            args.kwarg,
+        )
+        if arg is not None
+    }
+    keeps_set = augmented.union(builders)
+    for node in _own_nodes(function):
+        if (
+            isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Store)
+            and node not in keeps_set
+        ):
+            other.add(node.id)
+    return frozenset(name.id for name in builders if name.id not in other)
+
+
+def _ordered_consumers(
+    node: ast.AST, ctx: ModuleContext
+) -> Iterator[Tuple[ast.expr, str]]:
+    """``(iterable, consumer)`` for each iterable whose iteration order
+    ``node`` turns into an ordered value."""
+    if isinstance(node, ast.ListComp):
+        for generator in node.generators:
+            yield generator.iter, "list comprehension"
+        return
+    if not isinstance(node, ast.Call):
+        return
+    func = node.func
+    if len(node.args) == 1 and isinstance(func, ast.Name):
+        if func.id in ("list", "tuple"):
+            yield node.args[0], f"{func.id}()"
+    elif len(node.args) == 1 and isinstance(func, ast.Attribute):
+        if func.attr == "join":
+            yield node.args[0], "str.join()"
+    resolved = ctx.resolve(func) or ""
+    if ("." + resolved).endswith(".MeasurementDataset.merge"):
+        for argument in node.args:
+            yield argument, "MeasurementDataset.merge()"
+
+
 class UnsortedSetIterationRule(Rule):
     """DET003: unordered iteration must not feed ordered output.
 
@@ -171,6 +343,12 @@ class UnsortedSetIterationRule(Rule):
     the order reaches figures and CSV exports and varies with
     ``PYTHONHASHSEED`` history of the process.  Wrap the source in
     ``sorted()`` when the order can reach output.
+
+    Within one function the rule also follows a name: a local bound
+    only to a set is flagged when it is passed whole to ``list()``,
+    ``tuple()``, ``str.join()`` or ``MeasurementDataset.merge()``, or
+    iterated by a list comprehension.  A set handed to another function
+    is not followed.
     """
 
     rule_id = "DET003"
@@ -179,43 +357,87 @@ class UnsortedSetIterationRule(Rule):
         "wrap in sorted()"
     )
     severity = Severity.WARNING
-    interests = (ast.Call, ast.ListComp, ast.GeneratorExp)
+    interests = (ast.Call, ast.ListComp, ast.FunctionDef, ast.AsyncFunctionDef)
 
     def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
-        if isinstance(node, ast.Call):
-            yield from self._visit_call(node, ctx)
-        else:
-            assert isinstance(node, (ast.ListComp, ast.GeneratorExp))
-            if isinstance(node, ast.GeneratorExp):
-                return  # a bare generator does not materialise an order
-            for generator in node.generators:
-                source = _unordered_source(generator.iter)
-                if source is not None:
-                    yield self.finding(
-                        node,
-                        ctx,
-                        f"list comprehension iterates {source} in hash "
-                        "order; sort the iterable",
-                    )
-
-    def _visit_call(
-        self, node: ast.Call, ctx: ModuleContext
-    ) -> Iterator[Finding]:
-        func = node.func
-        consumer: Optional[str] = None
-        if isinstance(func, ast.Name) and func.id in ("list", "tuple"):
-            consumer = f"{func.id}()"
-        elif isinstance(func, ast.Attribute) and func.attr == "join":
-            consumer = "str.join()"
-        if consumer is None or len(node.args) != 1:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = _set_names(node)
+            if not names:
+                return
+            for inner in _own_nodes(node):
+                for iterable, consumer in _ordered_consumers(inner, ctx):
+                    if isinstance(iterable, ast.Name) and iterable.id in names:
+                        yield self._finding(
+                            inner, ctx, consumer, f"the set {iterable.id!r}"
+                        )
             return
-        source = _unordered_source(node.args[0])
-        if source is not None:
+        for iterable, consumer in _ordered_consumers(node, ctx):
+            source = _unordered_source(iterable)
+            if source is not None:
+                yield self._finding(node, ctx, consumer, source)
+
+    def _finding(
+        self, node: ast.AST, ctx: ModuleContext, consumer: str, source: str
+    ) -> Finding:
+        return self.finding(
+            node,
+            ctx,
+            f"{consumer} over {source} materialises hash order; "
+            "wrap the iterable in sorted()",
+        )
+
+
+class EnvironmentIdentityRule(Rule):
+    """DET005: output must not depend on the environment or on object
+    identity.
+
+    ``os.environ`` and ``os.getenv`` couple a run to the shell that
+    launched it; ``id()`` is an allocation address and ``hash()`` of a
+    ``str`` changes with ``PYTHONHASHSEED``.  Flagging the read itself
+    covers every flow that starts there, however many calls later it
+    reaches a digest.  ``hash()`` inside ``__hash__`` is the sanctioned
+    use.
+    """
+
+    rule_id = "DET005"
+    description = (
+        "environment read (os.environ, os.getenv) or object identity "
+        "(id(), hash() outside __hash__)"
+    )
+    severity = Severity.ERROR
+    interests = (ast.Call, ast.Attribute, ast.Name)
+
+    def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
+        if isinstance(node, (ast.Attribute, ast.Name)):
+            if ctx.resolve(node) == ENV_MAPPING:
+                yield self.finding(
+                    node,
+                    ctx,
+                    "os.environ read ties output to the launching shell; "
+                    "pass the value in as an argument",
+                )
+            return
+        assert isinstance(node, ast.Call)
+        resolved = ctx.resolve(node.func)
+        if resolved is None:
+            return
+        if resolved in ENV_SOURCES:
             yield self.finding(
                 node,
                 ctx,
-                f"{consumer} over {source} materialises hash order; "
-                "wrap the iterable in sorted()",
+                f"{resolved}() ties output to the launching shell; pass "
+                "the value in as an argument",
+            )
+        elif isinstance(node.func, ast.Name) and resolved in OBJECT_SOURCES:
+            function = ctx.enclosing_function(node)
+            if resolved == "hash" and function is not None:
+                if function.name == "__hash__":
+                    return
+            yield self.finding(
+                node,
+                ctx,
+                f"{resolved}() {OBJECT_SOURCES[resolved]}; key by a stable "
+                "value instead",
             )
 
 
@@ -753,14 +975,173 @@ class EpochFullWorldIterationRule(Rule):
                 )
 
 
+def _is_self_attribute(node: ast.expr) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("self", "cls")
+    )
+
+
+class YieldSharedWriteRule(Rule):
+    """FLW101: generator tasks must not write shared state across a
+    yield.
+
+    The event loop drives probe tasks as generators; every ``yield``
+    hands control to another task.  A write to ``self.*``, a ``global``
+    or a ``nonlocal`` that comes after a yield, or sits inside a loop
+    that yields, races with whatever ran in between.
+    """
+
+    rule_id = "FLW101"
+    description = (
+        "generator task writes shared mutable state after a yield "
+        "point without scheduler mediation (cooperative race)"
+    )
+    severity = Severity.ERROR
+    interests = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
+        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        own = list(_own_nodes(node))
+        yields = [n.lineno for n in own if isinstance(n, (ast.Yield, ast.YieldFrom))]
+        if not yields:
+            return
+        yielding_loops: List[Tuple[int, int]] = []
+        shared: Set[str] = set()
+        for inner in own:
+            if isinstance(inner, (ast.For, ast.AsyncFor, ast.While)):
+                end = inner.end_lineno or inner.lineno
+                if any(inner.lineno <= y <= end for y in yields):
+                    yielding_loops.append((inner.lineno, end))
+            elif isinstance(inner, (ast.Global, ast.Nonlocal)):
+                shared.update(inner.names)
+        for inner in own:
+            for target, label in self._shared_writes(inner, shared, ctx):
+                line = target.lineno
+                if line > min(yields) or any(
+                    start <= line <= end for start, end in yielding_loops
+                ):
+                    yield self.finding(
+                        target,
+                        ctx,
+                        f"generator task {node.name}() writes shared state "
+                        f"'{label}' after a yield point; another task can "
+                        "interleave",
+                    )
+
+    @staticmethod
+    def _shared_writes(
+        node: ast.AST, shared: Set[str], ctx: ModuleContext
+    ) -> Iterator[Tuple[ast.expr, str]]:
+        """``(target, label)`` for each shared location ``node`` writes."""
+        targets: List[ast.expr] = []
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.For, ast.AsyncFor)):
+            targets = [node.target]
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets.extend(target.elts)
+                continue
+            base = target.value if isinstance(target, ast.Subscript) else target
+            if _is_self_attribute(base) or (
+                isinstance(base, ast.Name) and base.id in shared
+            ):
+                label = ctx.dotted_name(base) or "?"
+                yield target, label + ("" if base is target else "[...]")
+
+
+class ConstantSeedRule(Rule):
+    """FLW102: an RNG stream must not be seeded with a literal.
+
+    ``random.Random(0)`` hands every caller the same stream: every
+    shard of a campaign, every world, every run.  Derive the seed from
+    the world seed or per-shard material instead.
+    """
+
+    rule_id = "FLW102"
+    description = (
+        "random.Random() seeded with a numeric literal; derive the "
+        "stream from per-run or per-shard material"
+    )
+    severity = Severity.WARNING
+    interests = (ast.Call,)
+
+    def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
+        assert isinstance(node, ast.Call)
+        if ctx.resolve(node.func) != RNG_SEEDED_CONSTRUCTOR:
+            return
+        seeds = [*node.args, *(keyword.value for keyword in node.keywords)]
+        if (
+            len(seeds) == 1
+            and isinstance(seeds[0], ast.Constant)
+            and isinstance(seeds[0].value, (int, float))
+        ):
+            yield self.finding(
+                node,
+                ctx,
+                f"random.Random({seeds[0].value!r}) gives every caller the "
+                "same stream; derive the seed from per-shard material",
+            )
+
+
+class FrozenCacheWriteRule(Rule):
+    """FLW103: no writes to a cache after ``freeze()``.
+
+    A frozen ``ZoneCutCache`` ignores ``put``/``invalidate``/``flush``,
+    so a write after ``freeze()`` on the same receiver in one function
+    is silently dropped.
+    """
+
+    rule_id = "FLW103"
+    description = (
+        "write to a frozen cache (put/invalidate/flush after freeze() "
+        "on the same receiver is a silent no-op)"
+    )
+    severity = Severity.ERROR
+    interests = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
+        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        calls: List[Tuple[ast.Call, str, str]] = []
+        for inner in _own_nodes(node):
+            if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute):
+                receiver = ctx.dotted_name(inner.func.value)
+                if receiver is not None:
+                    calls.append((inner, receiver, inner.func.attr))
+        frozen_at: Dict[str, int] = {}
+        for call, receiver, method in calls:
+            if method == "freeze":
+                frozen_at[receiver] = min(
+                    call.lineno, frozen_at.get(receiver, call.lineno)
+                )
+        for call, receiver, method in calls:
+            line = frozen_at.get(receiver)
+            if method in FREEZABLE_METHODS and line is not None and call.lineno > line:
+                yield self.finding(
+                    call,
+                    ctx,
+                    f"{receiver}.{method}() after {receiver}.freeze() "
+                    f"(line {line}) is a silent no-op",
+                )
+
+
 ALL_RULES: Tuple[Type[Rule], ...] = (
     WallClockRule,
     GlobalRandomRule,
     UnsortedSetIterationRule,
     EpochFullWorldIterationRule,
+    EnvironmentIdentityRule,
     SilentExceptRule,
     StringDnsComparisonRule,
     MissingTimeoutRetryRule,
     RetryBackoffRule,
     ImportLayeringRule,
+    YieldSharedWriteRule,
+    ConstantSeedRule,
+    FrozenCacheWriteRule,
 )

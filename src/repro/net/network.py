@@ -98,7 +98,12 @@ class Network:
         if not 0.0 <= flaky_loss_rate < 1.0:
             raise ValueError(f"flaky loss rate out of range: {flaky_loss_rate}")
         self.clock = clock if clock is not None else SimulatedClock()
-        self._rng = rng if rng is not None else random.Random(0)
+        # The constant-seeded default only serves directly-built
+        # networks (unit tests); every generated world passes a stream
+        # derived from its seed.
+        self._rng = (
+            rng if rng is not None else random.Random(0)  # reprolint: disable=FLW102
+        )
         self._default_latency = (
             default_latency if default_latency is not None else FixedLatency(0.02)
         )

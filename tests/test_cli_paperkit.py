@@ -84,6 +84,42 @@ class TestCliExecution:
         assert "98.4%" in text  # the paper column
         assert "Measured" in text
 
+    COUNTS = ("targets", "parent_response", "parent_nonempty", "responsive")
+
+    @staticmethod
+    def measured(text):
+        """Metric -> Measured column of the headline table."""
+        return {
+            cells[0].strip(): cells[2].strip()
+            for cells in (line.split("|") for line in text.splitlines())
+            if len(cells) == 3 and cells[0].strip() != "Metric"
+        }
+
+    def test_headline_formats_by_metric(self):
+        # At this seed and scale two shares are exactly 0; they must
+        # still print as percentages, and the counts as integers.
+        code, text = self.run_cli(
+            ["--seed", "3", "--scale", "0.0005", "headline"]
+        )
+        assert code == 0
+        measured = self.measured(text)
+        assert set(self.COUNTS) < set(measured)
+        for metric, shown in measured.items():
+            if metric in self.COUNTS:
+                assert shown.replace(",", "").isdigit(), (metric, shown)
+            else:
+                assert shown.endswith("%"), (metric, shown)
+
+    def test_headline_count_of_one_is_not_a_percent(self, monkeypatch):
+        class OneOfEach:
+            def headline(self):
+                return {"targets": 1.0, "share_ge2_ns": 1.0}
+
+        monkeypatch.setattr("repro.cli._make_study", lambda args: OneOfEach())
+        code, text = self.run_cli(["headline"])
+        assert code == 0
+        assert self.measured(text) == {"targets": "1", "share_ge2_ns": "100.0%"}
+
     def test_audit_known_country(self):
         code, text = self.run_cli(self.SMALL + ["audit", "cn"])
         assert code == 0

@@ -101,12 +101,15 @@ class TestDET002GlobalRandom:
         assert ids == ["DET002", "DET002"]
 
     def test_seeded_random_instance_is_clean(self):
+        # A literal seed is FLW102's finding, so the stream is seeded
+        # from a parameter here.
         ids = rule_ids(
             """
             import random
 
-            rng = random.Random(42)
-            value = rng.random()
+            def draw(seed):
+                rng = random.Random(seed)
+                return rng.random()
             """
         )
         assert ids == []
@@ -410,3 +413,462 @@ class TestEngineBasics:
         assert finding.line == 2
         assert finding.snippet == "now = time.time()"
         assert finding.path == "src/repro/fake/mod.py"
+
+
+# ----------------------------------------------------------------------
+# The former flowlint fixtures, one LintEngine run per file.  Each entry
+# maps a fixture (path -> source) to the sorted rule ids it must raise.
+# Every fixture that fired an FLW rule through the old interprocedural
+# analyzer fires its replacement here, on the source line itself:
+# FLW001 -> DET001, FLW002 -> DET002, FLW003/FLW004 -> DET005,
+# FLW005 -> DET003; FLW101-FLW103 keep their ids (DESIGN.md §12).
+# ----------------------------------------------------------------------
+CROSS_FUNCTION_CLOCK = {
+    "pkg/collect.py": """
+        import time
+
+        from .digest import stamp_digest
+
+        def make_stamp():
+            return time.ctime()
+
+        def build_report():
+            stamp = make_stamp()
+            return stamp_digest(stamp)
+        """,
+    "pkg/digest.py": """
+        import hashlib
+
+        def stamp_digest(stamp):
+            h = hashlib.sha256(stamp.encode("utf-8"))
+            return h.hexdigest()
+        """,
+}
+
+WORKER = """
+    import random
+
+    from .helper import build_stream
+
+    def _shard_worker(task):
+        return build_stream()
+    """
+
+FLOW_FIXTURES = {
+    "flw001_cross_function_clock_to_digest": (CROSS_FUNCTION_CLOCK, ["DET001"]),
+    # Dropped on purpose: an inline DET001 suppression accepts the
+    # clock read, and nothing traces it onward to the digest.
+    "flw001_suppressed_clock_read_stays_accepted": (
+        {
+            path: source.replace(
+                "return time.ctime()",
+                "return time.ctime()  # reprolint: disable=DET001",
+            )
+            for path, source in CROSS_FUNCTION_CLOCK.items()
+        },
+        [],
+    ),
+    "flw001_derived_sink_via_parameter_chain": (
+        {
+            "pkg/deep.py": """
+            import hashlib
+            import time
+
+            def inner(payload):
+                return hashlib.sha256(payload).hexdigest()
+
+            def middle(payload):
+                return inner(payload)
+
+            def outer():
+                raw = str(time.time_ns()).encode("utf-8")
+                return middle(raw)
+            """
+        },
+        ["DET001"],
+    ),
+    "flw002_entropy_into_digest": (
+        {
+            "pkg/m.py": """
+            import hashlib
+            import os
+
+            def token_digest():
+                token = os.urandom(8)
+                return hashlib.sha256(token).hexdigest()
+            """
+        },
+        ["DET002"],
+    ),
+    "flw002_global_rng_through_helper": (
+        {
+            "pkg/m.py": """
+            import json
+            import random
+
+            def draw():
+                return random.random()
+
+            def emit():
+                return json.dumps({"sample": draw()})
+            """
+        },
+        ["DET002"],
+    ),
+    "flw002_seeded_stream_is_clean": (
+        {
+            "pkg/m.py": """
+            import json
+            import random
+
+            def emit(seed):
+                rng = random.Random(seed)
+                return json.dumps({"sample": rng.random()})
+            """
+        },
+        [],
+    ),
+    "flw002_unseeded_random_constructor_is_entropy": (
+        {
+            "pkg/m.py": """
+            import json
+            import random
+
+            def emit():
+                rng = random.Random()
+                return json.dumps({"sample": rng.random()})
+            """
+        },
+        ["DET002"],
+    ),
+    "flw003_environment_into_serialization": (
+        {
+            "pkg/m.py": """
+            import json
+            import os
+
+            def emit():
+                return json.dumps({"mode": os.environ.get("MODE", "x")})
+            """
+        },
+        ["DET005"],
+    ),
+    "flw004_object_identity_into_serialization": (
+        {
+            "pkg/m.py": """
+            import json
+
+            def emit(record):
+                return json.dumps({"key": id(record)})
+            """
+        },
+        ["DET005"],
+    ),
+    "flw005_materialized_set_order_into_serialization": (
+        {
+            "pkg/m.py": """
+            import json
+
+            def emit(names):
+                bag = set(names)
+                return json.dumps(list(bag))
+            """
+        },
+        ["DET003"],
+    ),
+    "flw005_sorted_launders_order": (
+        {
+            "pkg/m.py": """
+            import json
+
+            def emit(names):
+                bag = set(names)
+                return json.dumps(sorted(bag))
+            """
+        },
+        [],
+    ),
+    "flw005_set_comprehension_via_join": (
+        {
+            "pkg/m.py": """
+            import json
+
+            def emit(names):
+                unique = {name.lower() for name in names}
+                return json.dumps(",".join(unique))
+            """
+        },
+        ["DET003"],
+    ),
+    "perf_record_is_a_sink": (
+        {
+            "pkg/m.py": """
+            import time
+
+            from repro.report.bench import PerfRecord
+
+            def commit(name):
+                return PerfRecord(name, time.perf_counter())
+            """
+        },
+        ["DET001"],
+    ),
+    "dataset_merge_admission_order_is_a_sink": (
+        {
+            "pkg/m.py": """
+            from repro.core.journal import MeasurementDataset
+
+            def combine(parts):
+                chunks = set(parts)
+                return MeasurementDataset.merge(chunks)
+            """
+        },
+        ["DET003"],
+    ),
+    "serving_report_is_a_sink": (
+        {
+            "pkg/m.py": """
+            import time
+
+            from repro.report.serving import ServingReport
+
+            def commit(stats):
+                stamp = time.time()
+                return ServingReport(stats, stamp)
+            """
+        },
+        ["DET001"],
+    ),
+    "serving_report_clean_inputs_stay_quiet": (
+        {
+            "pkg/m.py": """
+            from repro.report.serving import ServingReport
+
+            def commit(stats, clock_now):
+                return ServingReport(stats, clock_now)
+            """
+        },
+        [],
+    ),
+    "flw101_write_after_yield_fires": (
+        {
+            "pkg/m.py": """
+            class Task:
+                def __init__(self):
+                    self.seen = 0
+
+                def run(self):
+                    reply = yield ("query", 1)
+                    self.seen = self.seen + 1
+            """
+        },
+        ["FLW101"],
+    ),
+    "flw101_write_before_first_yield_is_clean": (
+        {
+            "pkg/m.py": """
+            class Task:
+                def run(self):
+                    self.started = True
+                    reply = yield ("query", 1)
+                    return reply
+            """
+        },
+        [],
+    ),
+    "flw101_write_in_yielding_loop_fires": (
+        {
+            "pkg/m.py": """
+            class Task:
+                def run(self, jobs):
+                    for job in jobs:
+                        self.current = job
+                        yield ("query", job)
+            """
+        },
+        ["FLW101"],
+    ),
+    "flw101_non_generator_method_is_clean": (
+        {
+            "pkg/m.py": """
+            class Counter:
+                def bump(self):
+                    self.count = self.count + 1
+            """
+        },
+        [],
+    ),
+    "flw102_constant_seed_reachable_from_worker": (
+        {
+            "pkg/worker.py": WORKER,
+            "pkg/helper.py": """
+            import random
+
+            def build_stream():
+                return random.Random(0)
+            """,
+        },
+        ["FLW102"],
+    ),
+    # Stricter than before: a literal seed fires wherever it is built,
+    # not only inside the shard worker's call graph.
+    "flw102_quiet_outside_worker_graph": (
+        {
+            "pkg/helper.py": """
+            import random
+
+            def build_stream():
+                return random.Random(0)
+            """
+        },
+        ["FLW102"],
+    ),
+    "flw102_derived_seed_is_clean": (
+        {
+            "pkg/worker.py": WORKER,
+            "pkg/helper.py": """
+            import random
+
+            def build_stream(material="seed"):
+                return random.Random(material)
+            """,
+        },
+        [],
+    ),
+    "flw103_put_after_freeze_fires": (
+        {
+            "pkg/m.py": """
+            def warm(cache, entries):
+                cache.freeze()
+                cache.put("zone.", entries)
+            """
+        },
+        ["FLW103"],
+    ),
+    "flw103_freeze_last_is_clean": (
+        {
+            "pkg/m.py": """
+            def warm(cache, entries):
+                cache.put("zone.", entries)
+                cache.freeze()
+            """
+        },
+        [],
+    ),
+    # Suppression parity: the finding now sits on the source line, so
+    # that is where the comment goes.
+    "det005_inline_suppression_silences_the_source": (
+        {
+            "pkg/m.py": """
+            import json
+            import os
+
+            def emit():
+                mode = os.environ.get("MODE", "x")  # reprolint: disable=DET005
+                return json.dumps({"mode": mode})
+            """
+        },
+        [],
+    ),
+    "det005_suppression_of_other_rule_does_not_silence": (
+        {
+            "pkg/m.py": """
+            import json
+            import os
+
+            def emit():
+                mode = os.environ.get("MODE", "x")  # reprolint: disable=DET001
+                return json.dumps({"mode": mode})
+            """
+        },
+        ["DET005"],
+    ),
+    # Shapes the stricter rules found in src/ (both fixed there).
+    "det005_id_keyed_retry_set": (
+        {
+            "pkg/m.py": """
+            def journal_final(results, needs_retry, journal):
+                retry_set = {id(r) for r in needs_retry}
+                for result in results:
+                    if id(result) not in retry_set:
+                        journal.record(result)
+            """
+        },
+        ["DET005", "DET005"],
+    ),
+    "det003_set_through_tuple_into_helper": (
+        {
+            "pkg/m.py": """
+            def classify(result, lookup):
+                parent = set(result.parent_ns)
+                return lookup(result, tuple(parent))
+            """
+        },
+        ["DET003"],
+    ),
+}
+
+
+class TestFormerFlowFixtures:
+    @pytest.mark.parametrize("name", sorted(FLOW_FIXTURES))
+    def test_lints_as(self, name):
+        files, expected = FLOW_FIXTURES[name]
+        engine = LintEngine()
+        fired = sorted(
+            finding.rule_id
+            for path, source in files.items()
+            for finding in engine.lint_source(textwrap.dedent(source), path)
+        )
+        assert fired == expected
+
+
+class TestDET005EnvironmentIdentity:
+    def test_getenv_and_aliased_environ_fire(self):
+        ids = rule_ids(
+            "from os import environ as env, getenv\n"
+            "a = getenv('HOME')\n"
+            "b = env['HOME']\n"
+        )
+        assert ids == ["DET005", "DET005"]
+
+    def test_hash_inside_dunder_hash_is_clean(self):
+        snippet = """
+            class Key:
+                def __hash__(self):
+                    return hash(self.packed)
+        """
+        assert rule_ids(snippet) == []
+
+    def test_hash_elsewhere_fires(self):
+        snippet = """
+            class Key:
+                def bucket(self):
+                    return hash(self.packed) % 8
+        """
+        assert rule_ids(snippet) == ["DET005"]
+
+    def test_shadowed_id_attribute_is_clean(self):
+        assert rule_ids("key = record.id(3)\n") == []
+
+
+class TestDET003WithinOneFunction:
+    def test_rebinding_clears_the_set(self):
+        snippet = """
+            def emit(names):
+                bag = set(names)
+                bag = sorted(bag)
+                return list(bag)
+        """
+        assert rule_ids(snippet) == []
+
+    def test_list_comprehension_over_named_set_fires(self):
+        snippet = """
+            def emit(names):
+                bag: set = {n.lower() for n in names}
+                bag |= {"extra"}
+                return [name for name in bag]
+        """
+        assert rule_ids(snippet) == ["DET003"]
+
+    def test_parameter_is_not_followed(self):
+        assert rule_ids("def emit(bag):\n    return list(bag)\n") == []

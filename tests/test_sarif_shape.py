@@ -1,10 +1,10 @@
 """SARIF 2.1.0 schema-shape audit, shared by every analyzer family.
 
 ``repro.lint.output.render_sarif`` is the single renderer behind
-``reprolint``, ``zonelint``, ``flowlint``, and ``servelint``; this test
-pins the document shape GitHub code scanning requires — for *all four*
-tools — so no family can drift away from the interchange contract
-without failing here.
+``reprolint``, ``zonelint`` and ``servelint``; this test pins the
+document shape GitHub code scanning requires — for *all three* tools —
+so no family can drift away from the interchange contract without
+failing here.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 
 from repro.lint import ALL_RULES, LintEngine
 from repro.lint.findings import Finding, Severity
-from repro.lint.flow import FLOW_RULES, analyze_sources
 from repro.lint.output import render_sarif
 from repro.servelint import RULES_BY_ID as SV_BY_ID, SV_RULES
 from repro.zonelint import RULES_BY_ID, ZL_RULES
@@ -137,65 +136,6 @@ def test_servelint_rule_severity_tiers():
             if rule.severity is severity
         }
         assert actual == expected
-
-
-def _flow_findings():
-    findings = analyze_sources(
-        [
-            (
-                "pkg/a.py",
-                "import time\n"
-                "\n"
-                "from .b import stamp_digest\n"
-                "\n"
-                "def build():\n"
-                "    return stamp_digest(str(time.time_ns()))\n",
-            ),
-            (
-                "pkg/b.py",
-                "import hashlib\n"
-                "\n"
-                "def stamp_digest(stamp):\n"
-                "    return hashlib.sha256(stamp.encode()).hexdigest()\n",
-            ),
-        ]
-    )
-    assert findings and all(f.trace for f in findings)
-    return findings
-
-
-def test_flowlint_sarif_shape_with_thread_flows():
-    """threadFlow-bearing results must keep the base shape *and* carry
-    a well-formed codeFlows/relatedLocations pair per traced finding."""
-    findings = _flow_findings()
-    document = json.loads(
-        render_sarif(findings, FLOW_RULES, "1.1.0", tool="reprolint")
-    )
-    assert_sarif_shape(document, "reprolint", FLOW_RULES)
-    for result in document["runs"][0]["results"]:
-        (code_flow,) = result["codeFlows"]
-        (thread_flow,) = code_flow["threadFlows"]
-        locations = thread_flow["locations"]
-        assert len(locations) >= 2  # at least source and sink
-        for step in locations:
-            physical = step["location"]["physicalLocation"]
-            assert physical["artifactLocation"]["uri"]
-            assert physical["artifactLocation"]["uriBaseId"] == "SRCROOT"
-            assert physical["region"]["startLine"] >= 1
-            assert physical["region"]["startColumn"] >= 1
-            assert step["location"]["message"]["text"]
-        related = result["relatedLocations"]
-        assert len(related) == len(locations)
-        for entry in related:
-            assert entry["physicalLocation"]["artifactLocation"]["uri"]
-            assert entry["message"]["text"]
-        # The flow starts at the source and ends at the reported sink.
-        first = locations[0]["location"]["physicalLocation"]
-        last = locations[-1]["location"]["physicalLocation"]
-        assert first["artifactLocation"]["uri"] == "pkg/a.py"
-        assert last["artifactLocation"]["uri"] == result["locations"][0][
-            "physicalLocation"
-        ]["artifactLocation"]["uri"]
 
 
 def test_single_location_findings_omit_code_flows():

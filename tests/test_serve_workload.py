@@ -1,7 +1,7 @@
 """The client-workload generator: shape, validation, and the
 determinism property — byte-identical streams across PYTHONHASHSEED
 values and input-ordering permutations (same subprocess harness as the
-flowlint determinism test)."""
+reprolint determinism test)."""
 
 from __future__ import annotations
 
