@@ -215,14 +215,6 @@ class ProbeResult:
         """The number of distinct nameservers listed for the domain."""
         return len(self.all_ns)
 
-    def answering_addresses(self) -> Tuple[IPv4Address, ...]:
-        found: Dict[IPv4Address, None] = {}
-        for server in self.servers.values():
-            for address, outcome in server.outcomes.items():
-                if outcome in ServerOutcome.AUTHORITATIVE:
-                    found.setdefault(address, None)
-        return tuple(found)
-
     def resolved_addresses(self) -> Tuple[IPv4Address, ...]:
         found: Dict[IPv4Address, None] = {}
         for server in self.servers.values():

@@ -239,22 +239,6 @@ class DelegationAnalysis:
         confirmed = any_defect - columns.defect_provisional.count(1)
         return {"lower": confirmed / total, "upper": any_defect / total}
 
-    def prevalence_parent_only(self) -> float:
-        """Share with a defective nameserver among the parent-listed
-        set specifically (the paper's Figure-10a framing)."""
-        columns = self._dataset.columns
-        total = 0
-        affected = 0
-        for code, in_parent in zip(
-            columns.defect_verdict, columns.defective_in_parent
-        ):
-            if code == UNCLASSIFIED:
-                continue
-            total += 1
-            if in_parent or code == DEFECT_FULL:
-                affected += 1
-        return affected / total if total else 0.0
-
     def figure10_by_country(self) -> Dict[str, Dict[str, float]]:
         """ISO2 → {any, partial, full} shares."""
         columns = self._dataset.columns

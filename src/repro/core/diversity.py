@@ -111,18 +111,6 @@ class DiversityAnalysis:
         rows.extend(self._row(iso2, entries) for iso2, entries in ranked)
         return rows
 
-    def share_multi_prefix_by_level(self) -> Dict[int, float]:
-        """Multi-/24 share by DNS-hierarchy level (the paper's 87.1% at
-        level 2 vs <80% below)."""
-        by_level: Dict[int, List[Tuple[ProbeResult, DomainDiversity]]] = {}
-        for result, diversity in self._population():
-            by_level.setdefault(result.level, []).append((result, diversity))
-        return {
-            level: sum(1 for _, d in entries if d.prefix_count > 1) / len(entries)
-            for level, entries in sorted(by_level.items())
-            if entries
-        }
-
     def single_ip_multi_ns(self) -> List[ProbeResult]:
         """Multi-NS domains whose nameservers all share one address —
         the curiosity the paper traces largely to one d_gov."""

@@ -21,7 +21,7 @@ from ..inet.clock import SECONDS_PER_DAY, year_bounds
 from ..pdns.database import PdnsDatabase
 from ..pdns.filtering import stable_records
 from ..pdns.record import PdnsRecord
-from .dataset import MeasurementDataset, ProbeResult
+from .dataset import MeasurementDataset
 from .seeds import Seed
 
 __all__ = [
@@ -359,17 +359,6 @@ class ActiveReplicationAnalysis:
         return grouped
 
     # ------------------------------------------------------------------
-    def single_ns_results(self) -> List[ProbeResult]:
-        columns = self._dataset.columns
-        results = self._dataset.results
-        return [
-            results[domain]
-            for domain, count, code in zip(
-                columns.domains, columns.ns_count, columns.parent_status
-            )
-            if code <= 1 and count == 1
-        ]
-
     def figure8_overall(self) -> float:
         """Share of single-NS domains with no authoritative response
         (the paper's 60.1%)."""

@@ -43,10 +43,6 @@ class Seed:
     source: str  # "link" | "msq" | "registry_fallback"
     government_verified: bool
 
-    @property
-    def suffix_text(self) -> str:
-        return str(self.d_gov).rstrip(".")
-
 
 class SeedSelector:
     """Turns Knowledge-Base rows into verified seeds."""

@@ -112,14 +112,6 @@ class ModuleContext:
             current = self._parents.get(current)
         return None
 
-    def imports_module(self, module: str) -> bool:
-        """True when ``module`` (or a member of it) is imported here."""
-        prefix = module + "."
-        return any(
-            target == module or target.startswith(prefix)
-            for target in self.imports.values()
-        )
-
 
 class Rule:
     """Base class / protocol for lint rules.

@@ -12,8 +12,6 @@ client identity — the sensor API accepts only the records themselves.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from ..dns.rrset import RRset
 from ..dns.zone import Zone
 from .database import PdnsDatabase
@@ -36,10 +34,6 @@ class Sensor:
                 rrset.name, rrset.rrtype, str(rdata), timestamp
             )
             self.observations += 1
-
-    def observe_many(self, rrsets: Iterable[RRset], timestamp: float) -> None:
-        for rrset in rrsets:
-            self.observe_rrset(rrset, timestamp)
 
 
 class ZoneFileImporter:

@@ -86,9 +86,6 @@ class CsyncProcessor:
         authoritative nameservers)."""
         self._directives[record.zone] = record
 
-    def directive_for(self, zone: DnsName) -> Optional[CsyncRecord]:
-        return self._directives.get(zone)
-
     # ------------------------------------------------------------------
     # Parent side: scan and apply
     # ------------------------------------------------------------------

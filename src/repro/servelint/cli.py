@@ -3,7 +3,7 @@
 Exit codes: 0 — analysis ran (findings describe the generated world,
 they are not failures); 1 — ``--verify`` left a disagreement
 unexplained; 2 — usage errors (argparse, an unknown ``--profiles``
-name).
+name, ``--json-out`` without ``--verify``).
 """
 
 from __future__ import annotations
@@ -13,14 +13,14 @@ import argparse
 from ..lint.output import FORMATS, render_report
 from ..net.chaos import PROFILES
 from ..worldgen.churn import world_at_epoch
-from .analyzer import ServeLinter
-from .model import IDLE_PROFILE
-from .rules import SV_RULES
+from ..zonelint.analyzer import ZoneLinter
+from .model import IDLE_PROFILE, SurvivabilityModel
+from .rules import SV_RULES, findings
 from .verify import oracle_json, render_oracle, verify_profile
 
 __all__ = ["configure_parser", "run"]
 
-_VERSION = "1.0.0"
+_VERSION = "2.0.0"
 
 _DEFAULT_PROFILES = "idle,outage,mixed"
 
@@ -64,12 +64,22 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "--json-out",
         default=None,
         metavar="PATH",
-        help="write the --verify oracle report as JSON to PATH",
+        help=(
+            "write the --verify oracle report as JSON to PATH "
+            "(needs --verify)"
+        ),
     )
 
 
 def run(args: argparse.Namespace, out) -> int:
-    # A bad profile name is a usage error, reported before worldgen.
+    # Usage errors are reported before worldgen.
+    if args.json_out is not None and not args.verify:
+        print(
+            "error: --json-out writes the --verify oracle report; "
+            "add --verify",
+            file=out,
+        )
+        return 2
     profiles = [p.strip() for p in args.profiles.split(",") if p.strip()]
     valid = (IDLE_PROFILE, *PROFILES)
     unknown = [p for p in profiles if p not in valid]
@@ -82,21 +92,21 @@ def run(args: argparse.Namespace, out) -> int:
         return 2
 
     world = world_at_epoch(args.seed, args.scale)
-    linter = ServeLinter.for_world(
-        world, seed=args.seed, duration=args.duration
-    )
     targets = {
         name: truth.iso2 for name, truth in world.truths.items()
     }
-    table = linter.zones.analyze_all(targets)
+    truths = ZoneLinter.for_world(world).analyze_all(targets)
+    model = SurvivabilityModel.for_world(
+        world, seed=args.seed, duration=args.duration
+    )
     print(
         render_report(
-            linter.findings(table),
+            findings(model, truths),
             args.format,
             SV_RULES,
             _VERSION,
             tool="servelint",
-            preamble=f"servelint: {len(table)} domain(s) analyzed",
+            preamble=f"servelint: {len(truths)} domain(s) analyzed",
         ),
         file=out,
     )

@@ -31,31 +31,27 @@ run to exactly this set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..dns.name import DnsName
 from ..dns.rdata import RRType
 from ..inet.address import IPv4Address
 from ..net.chaos import FaultSchedule, build_profile
 from ..serve.service import DegradationState, ServeConfig
-from ..zonelint.analyzer import GroundTruth
 from ..zonelint.graph import (
     CutStore,
     StaticResolution,
     StaticResolver,
     ZoneGraph,
 )
-from ..zonelint.smells import StaticOutcome
 
 __all__ = [
     "IDLE_PROFILE",
     "KINDS",
     "ChaosOutlook",
-    "DomainSurvivability",
     "KindPrediction",
     "SurvivabilityModel",
     "kind_qname",
-    "refresh_backoff_span",
 ]
 
 # The no-chaos baseline "profile": an empty outlook.
@@ -76,17 +72,6 @@ def kind_qname(domain: DnsName, kind: str) -> DnsName:
     if kind == "nodata":
         return domain
     raise ValueError(f"unknown workload kind {kind!r}")
-
-
-def refresh_backoff_span(config: ServeConfig) -> float:
-    """Worst-case spread of the bounded background-refresh schedule."""
-    policy = config.refresh_backoff
-    span = 0.0
-    for attempt in range(1, config.refresh_attempts + 1):
-        span += min(
-            policy.base * (policy.multiplier ** (attempt - 1)), policy.cap
-        )
-    return span
 
 
 class ChaosOutlook:
@@ -171,30 +156,9 @@ class KindPrediction:
     domain: DnsName
     kind: str
     qname: DnsName
-    idle_status: str
     chaos_status: str
-    stale_covered: bool
-    lossy: bool
     expected: Tuple[str, ...]
     attempted: Tuple[IPv4Address, ...]
-
-
-@dataclass(frozen=True)
-class DomainSurvivability:
-    """One domain's static serving verdict under the analyzed profile."""
-
-    domain: DnsName
-    iso2: str
-    ns_count: int
-    positive_ttl: Optional[int]
-    clamped_ttl: Optional[int]
-    negative_ttl: int
-    idle_status: str
-    chaos_status: str
-    stale_covered: bool
-    verdict: str  # primary DegradationState under the profile
-    dead_ns: Tuple[DnsName, ...]
-    surviving_ns: Tuple[DnsName, ...]
 
 
 class SurvivabilityModel:
@@ -228,6 +192,33 @@ class SurvivabilityModel:
             Tuple[str, DnsName, str],
             Tuple[StaticResolution, StaticResolution],
         ] = {}
+
+    @classmethod
+    def for_world(
+        cls,
+        world,
+        seed: int,
+        config: ServeConfig = ServeConfig(),
+        duration: float = 600.0,
+    ) -> "SurvivabilityModel":
+        """Wire a model from a generated :class:`worldgen.World`."""
+        addresses = tuple(sorted(world.network.addresses()))
+        lossy = tuple(
+            address
+            for address in addresses
+            if world.network.effective_loss_rate(address) > 0.0
+        )
+        graph = ZoneGraph(
+            world.network, tuple(world.root_addresses), world.probe_source
+        )
+        return cls(
+            graph,
+            addresses,
+            seed=seed,
+            config=config,
+            duration=duration,
+            lossy=lossy,
+        )
 
     # ------------------------------------------------------------------
     # Outlooks and resolvers
@@ -319,8 +310,11 @@ class SurvivabilityModel:
             self._variant_memo[key] = cached
         return cached
 
-    def _clamp(self, ttl: int) -> int:
-        return ttl if ttl < self.config.max_ttl else self.config.max_ttl
+    def clamped_ttl(self, qname: DnsName) -> Optional[int]:
+        """The authoritative A answer TTL for ``qname`` clamped to the
+        serve config's ``max_ttl``; ``None`` when no zone answers."""
+        ttl = self._graph.answer_ttl(qname, RRType.A)
+        return None if ttl is None else min(ttl, self.config.max_ttl)
 
     def warm_entry_ttl(
         self, qname: DnsName, idle_status: str
@@ -329,8 +323,8 @@ class SurvivabilityModel:
         name, or ``None`` when warm caches nothing (NODATA is not
         negatively cached by the raw resolver; SERVFAIL never is)."""
         if idle_status == "ok":
-            ttl = self._graph.answer_ttl(qname, RRType.A)
-            return self._clamp(ttl if ttl is not None else self.config.max_ttl)
+            ttl = self.clamped_ttl(qname)
+            return self.config.max_ttl if ttl is None else ttl
         if idle_status == "nxdomain":
             return self.config.negative_ttl
         return None
@@ -356,17 +350,11 @@ class SurvivabilityModel:
             chaos_variants = idle_variants
         else:
             chaos_variants = self._variants(profile, qname, qtype)
-        idle, chaos = idle_variants[0], chaos_variants[0]
         walked: set = set()
         for resolution in (*idle_variants, *chaos_variants):
             walked.update(resolution.attempted)
         attempted = tuple(sorted(walked))
         lossy = any(address in self._lossy for address in attempted)
-        covered = self.stale_covers(
-            self.warm_entry_ttl(qname, idle.status)
-            if kind == "popular"
-            else None
-        )
         # Union over the variant grid: the live run lives somewhere in
         # it, depending on which cuts its warm phase actually cached.
         states: set = set()
@@ -394,10 +382,7 @@ class SurvivabilityModel:
             domain=domain,
             kind=kind,
             qname=qname,
-            idle_status=idle.status,
-            chaos_status=chaos.status,
-            stale_covered=covered,
-            lossy=lossy,
+            chaos_status=chaos_variants[0].status,
             expected=expected,
             attempted=attempted,
         )
@@ -430,65 +415,3 @@ class SurvivabilityModel:
         if kind == "popular" and idle.answered and covered:
             return (DegradationState.STALE_SERVED,)
         return (DegradationState.FAILED,)
-
-    # ------------------------------------------------------------------
-    # Domain-level verdicts (for the analyzer's findings)
-    # ------------------------------------------------------------------
-    def survivability(
-        self, truth: GroundTruth, profile: str
-    ) -> DomainSurvivability:
-        prediction = self.predict(profile, truth.domain, "popular")
-        outlook = self.outlook(profile)
-        dead_ns: List[DnsName] = []
-        surviving_ns: List[DnsName] = []
-        for hostname in sorted(truth.servers):
-            server = truth.servers[hostname]
-            alive = [
-                address
-                for address in server.addresses
-                if server.outcomes.get(address)
-                in StaticOutcome.AUTHORITATIVE
-                and not outlook.is_dead(address)
-            ]
-            if alive:
-                surviving_ns.append(hostname)
-            else:
-                dead_ns.append(hostname)
-        positive_ttl = self._graph.answer_ttl(
-            kind_qname(truth.domain, "popular"), RRType.A
-        )
-        soa_minimum = self._graph.soa_minimum(truth.domain)
-        negative_ttl = self.config.negative_ttl
-        if soa_minimum is not None:
-            negative_ttl = min(soa_minimum, negative_ttl)
-        if prediction.chaos_status != "failed":
-            verdict = DegradationState.FRESH
-        elif prediction.expected == (DegradationState.STALE_SERVED,):
-            verdict = DegradationState.STALE_SERVED
-        else:
-            verdict = DegradationState.FAILED
-        return DomainSurvivability(
-            domain=truth.domain,
-            iso2=truth.iso2,
-            ns_count=truth.ns_count,
-            positive_ttl=positive_ttl,
-            clamped_ttl=(
-                self._clamp(positive_ttl) if positive_ttl is not None else None
-            ),
-            negative_ttl=negative_ttl,
-            idle_status=prediction.idle_status,
-            chaos_status=prediction.chaos_status,
-            stale_covered=prediction.stale_covered,
-            verdict=verdict,
-            dead_ns=tuple(dead_ns),
-            surviving_ns=tuple(surviving_ns),
-        )
-
-    def survivability_table(
-        self, truths: Mapping[DnsName, GroundTruth], profile: str
-    ) -> Dict[DnsName, DomainSurvivability]:
-        self.warm(list(truths))
-        return {
-            domain: self.survivability(truths[domain], profile)
-            for domain in sorted(truths)
-        }

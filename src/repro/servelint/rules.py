@@ -1,50 +1,38 @@
-"""Rule vocabulary for the static cache-survivability analyzer.
+"""The SV rules and the findings they yield over a generated world.
 
-Each SV rule names one way client-facing resolution degrades when
-infrastructure fails — the serving-layer twin of zonelint's delegation
-smells.  Where zonelint asks "is this delegation broken *now*?",
-servelint asks "when the committed chaos profiles fire, does this
-domain keep answering, answer stale, or go dark?" — the question the
-paper's resilience findings (single-NS governments, provider
-concentration) pose and the follow-on resilience study measures.
+Each SV rule names one way a domain's client-facing resolution degrades
+when the committed ``outage`` profile fires — the profile whose windows
+are silence for longer than any serve run, so its verdicts are
+deterministic.  Every finding is read straight off the survivability
+model's prediction for the domain's popular name
+(:meth:`~repro.servelint.model.SurvivabilityModel.predict`); nothing
+here is simulated.
 
-Rules are the shared :class:`~repro.lint.findings.RuleDescriptor`, so
-the shared text/JSON/SARIF reporters render them unchanged.
+Findings use the same virtual ``world/<domain>`` paths as zonelint and
+the shared :class:`~repro.lint.findings.RuleDescriptor`, so the shared
+text/JSON/SARIF reporters render them unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Mapping, Tuple
 
-from ..lint.findings import RuleDescriptor, Severity
+from ..dns.name import DnsName
+from ..lint.findings import Finding, RuleDescriptor, Severity
+from ..serve.service import DegradationState
+from ..zonelint.analyzer import GroundTruth
+from ..zonelint.smells import StaticOutcome
+from .model import ChaosOutlook, SurvivabilityModel
 
-__all__ = [
-    "SV_RULES",
-    "RULES_BY_ID",
-    "NEGATIVE_TTL_FLOOR",
-    "TTL_COHORT_SHARE",
-    "TTL_COHORT_MIN",
-]
+__all__ = ["ANALYSIS_PROFILE", "RULES_BY_ID", "SV_RULES", "findings"]
 
-# SV005 fires when the effective negative TTL drops below this floor:
-# every NXDOMAIN in a typo storm then re-hits the upstream within the
-# storm itself instead of being absorbed by the negative cache.
-NEGATIVE_TTL_FLOOR = 60
-
-# SV006 fires when at least this share of answerable domains (and at
-# least TTL_COHORT_MIN of them) collapse to one clamped TTL: a warm
-# phase synchronizes their expiries, so they all refresh in one burst.
-TTL_COHORT_SHARE = 0.5
-TTL_COHORT_MIN = 8
+# The profile findings are judged under.  Outage windows are total
+# silence and outlast every default serve horizon, so the static
+# verdicts under it are exact, not probabilistic.
+ANALYSIS_PROFILE = "outage"
 
 
 SV_RULES: Tuple[RuleDescriptor, ...] = (
-    RuleDescriptor(
-        "SV001",
-        "dark under outage: every serve path dies and no cache entry "
-        "bridges the fault window — clients see SERVFAIL",
-        Severity.ERROR,
-    ),
     RuleDescriptor(
         "SV002",
         "survives only via the RFC 8767 stale window: every upstream "
@@ -52,43 +40,79 @@ SV_RULES: Tuple[RuleDescriptor, ...] = (
         Severity.WARNING,
     ),
     RuleDescriptor(
-        "SV003",
-        "single-NS domain whose entire serve path dies under the "
-        "outage profile (the paper's d_1NS resilience finding)",
-        Severity.ERROR,
-    ),
-    RuleDescriptor(
         "SV004",
         "positive TTL shorter than the committed outage window with no "
         "surviving nameserver: live answers cannot outlast the fault",
         Severity.WARNING,
-    ),
-    RuleDescriptor(
-        "SV005",
-        "negative-TTL amplification: the effective negative TTL is so "
-        "short that NXDOMAIN storms re-hit the upstream",
-        Severity.WARNING,
-    ),
-    RuleDescriptor(
-        "SV006",
-        "refresh-storm risk: a dominant cohort of domains shares one "
-        "clamped TTL, so warmed entries expire (and refresh) in sync",
-        Severity.NOTE,
-    ),
-    RuleDescriptor(
-        "SV007",
-        "background refresh futile: the entire bounded backoff schedule "
-        "lands inside the outage window — every refresh is abandoned",
-        Severity.WARNING,
-    ),
-    RuleDescriptor(
-        "SV008",
-        "stale window too small to bridge a committed chaos profile's "
-        "fault window",
-        Severity.NOTE,
     ),
 )
 
 RULES_BY_ID: Dict[str, RuleDescriptor] = {
     rule.rule_id: rule for rule in SV_RULES
 }
+
+
+def findings(
+    model: SurvivabilityModel, truths: Mapping[DnsName, GroundTruth]
+) -> List[Finding]:
+    """SV findings for every domain in zonelint's ground-truth table."""
+    # Chaos predictions start from the cuts the warm phase caches.
+    model.warm(list(truths))
+    outlook = model.outlook(ANALYSIS_PROFILE)
+    out: List[Finding] = []
+
+    def emit(
+        rule_id: str, domain: DnsName, message: str, snippet: str
+    ) -> None:
+        out.append(
+            Finding(
+                path=f"world/{domain}",
+                line=1,
+                column=1,
+                rule_id=rule_id,
+                severity=RULES_BY_ID[rule_id].severity,
+                message=message,
+                snippet=f"{snippet} {domain}",
+            )
+        )
+
+    for domain in sorted(truths):
+        prediction = model.predict(ANALYSIS_PROFILE, domain, "popular")
+        if prediction.chaos_status != "failed":
+            continue  # answers fresh through the fault
+        ttl = model.clamped_ttl(prediction.qname)
+        if prediction.expected == (DegradationState.STALE_SERVED,):
+            emit(
+                "SV002",
+                domain,
+                f"survives the {ANALYSIS_PROFILE} profile only via the "
+                f"RFC 8767 stale window (entry TTL {ttl}s "
+                f"+ stale {model.config.stale_window:.0f}s)",
+                "stale-only",
+            )
+        if (
+            ttl is not None
+            and ttl < outlook.fault_span
+            and not _any_ns_survives(truths[domain], outlook)
+        ):
+            emit(
+                "SV004",
+                domain,
+                f"positive TTL {ttl}s (clamped) is shorter than the "
+                f"{outlook.fault_span:.0f}s fault window and no "
+                "nameserver survives it: live answers cannot outlast "
+                "the fault",
+                "ttl-under-outage",
+            )
+    return out
+
+
+def _any_ns_survives(truth: GroundTruth, outlook: ChaosOutlook) -> bool:
+    """Does any nameserver keep an authoritative address outside the
+    profile's dead set?"""
+    return any(
+        server.outcomes.get(address) in StaticOutcome.AUTHORITATIVE
+        and not outlook.is_dead(address)
+        for server in truth.servers.values()
+        for address in server.addresses
+    )

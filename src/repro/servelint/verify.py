@@ -38,8 +38,7 @@ from ..serve.profiles import run_serve
 from ..serve.service import ServeConfig
 from ..serve.workload import targets_from_world
 from ..worldgen.churn import world_at_epoch
-from .analyzer import ServeLinter
-from .model import IDLE_PROFILE, KINDS
+from .model import IDLE_PROFILE, KINDS, SurvivabilityModel
 
 __all__ = [
     "Disagreement",
@@ -118,9 +117,9 @@ def verify_profile(
         config=config,
     )
     queries, service = run.queries, run.service
-    model = ServeLinter.for_world(
+    model = SurvivabilityModel.for_world(
         world, seed, config=config, duration=run.serve_seconds
-    ).model
+    )
     targets = targets_from_world(world)
     # Static twin of the warm phase: build the delegation-cut cache
     # the live resolver holds at serve start.

@@ -136,9 +136,6 @@ class ChurnPlan:
         """
         return tuple(sorted({op.domain for op in self.ops}))
 
-    def ops_for(self, kind: str) -> Tuple[ChurnOp, ...]:
-        return tuple(op for op in self.ops if op.kind == kind)
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "epoch": self.epoch,

@@ -146,9 +146,6 @@ class World:
         """The active-probe target list (the paper's 147k)."""
         return list(self.truths)
 
-    def truth_for(self, name: DnsName) -> DomainTruth:
-        return self.truths[name]
-
     def fault_plans(self) -> Dict[DnsName, FaultPlan]:
         """The applied fault plan per target, as queryable metadata.
 

@@ -24,7 +24,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..dns.message import Message, Rcode, make_query
 from ..dns.name import DnsName
-from ..dns.rdata import A, NS, RRType, SOA
+from ..dns.rdata import A, NS, RRType
 from ..dns.server import AuthoritativeServer
 from ..dns.zone import Zone
 from ..inet.address import IPv4Address
@@ -91,7 +91,7 @@ class ZoneGraph:
         return host.handle_datagram(make_query(qname, qtype), self._source)
 
     # ------------------------------------------------------------------
-    # TTL / SOA introspection (consumed by repro.servelint)
+    # TTL introspection (consumed by repro.servelint)
     # ------------------------------------------------------------------
     def enclosing_zone(self, qname: DnsName) -> Optional[Zone]:
         """Deepest loaded zone whose origin encloses ``qname``."""
@@ -113,39 +113,6 @@ class ZoneGraph:
         cname = zone.get(qname, RRType.CNAME)
         if cname is not None:
             return cname.ttl
-        return None
-
-    def soa_minimum(self, qname: DnsName) -> Optional[int]:
-        """RFC 2308 negative-TTL source for names under ``qname``'s
-        enclosing zone: min(SOA minimum field, SOA RRset TTL)."""
-        zone = self.enclosing_zone(qname)
-        if zone is None:
-            return None
-        rrset = zone.get(zone.origin, RRType.SOA)
-        if rrset is None or not rrset.rdatas:
-            return None
-        record = rrset.rdatas[0]
-        assert isinstance(record, SOA)
-        return min(int(record.minimum), rrset.ttl)
-
-    def delegation_ttl(self, domain: DnsName) -> Optional[int]:
-        """TTL a referral for ``domain`` would carry: min of the parent
-        NS RRset TTL and its glue TTLs, mirroring the live resolver's
-        zone-cut insertion (``_referral_targets``)."""
-        for origin in domain.ancestors(include_self=False):
-            zone = self.zones.get(origin)
-            if zone is None:
-                continue
-            rrset = zone.get(domain, RRType.NS)
-            if rrset is None:
-                continue
-            ttl = rrset.ttl
-            for rdata in rrset.rdatas:
-                assert isinstance(rdata, NS)
-                glue = zone.get(rdata.nsdname, RRType.A)
-                if glue is not None:
-                    ttl = min(ttl, glue.ttl)
-            return ttl
         return None
 
     # ------------------------------------------------------------------

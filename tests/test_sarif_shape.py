@@ -91,11 +91,7 @@ def test_zonelint_sarif_shape():
 def test_servelint_sarif_shape():
     findings = [
         Finding(
-            path=(
-                "world/serving-config"
-                if rule_id in ("SV006", "SV008")
-                else "world/example.gov.xx."
-            ),
+            path="world/example.gov.xx.",
             line=1,
             column=1,
             rule_id=rule_id,
@@ -106,10 +102,10 @@ def test_servelint_sarif_shape():
         for rule_id in sorted(SV_BY_ID)
     ]
     document = json.loads(
-        render_sarif(findings, SV_RULES, "1.0.0", tool="servelint")
+        render_sarif(findings, SV_RULES, "2.0.0", tool="servelint")
     )
     assert_sarif_shape(document, "servelint", SV_RULES)
-    # Every SV rule appears once; both virtual path anchors survive.
+    # Every SV rule appears once; the virtual path anchor survives.
     results = document["runs"][0]["results"]
     assert sorted(r["ruleId"] for r in results) == sorted(SV_BY_ID)
     uris = {
@@ -118,16 +114,15 @@ def test_servelint_sarif_shape():
         ]
         for result in results
     }
-    assert uris == {"world/example.gov.xx.", "world/serving-config"}
+    assert uris == {"world/example.gov.xx."}
 
 
 def test_servelint_rule_severity_tiers():
-    # Going-dark verdicts are errors, degraded-service verdicts are
-    # warnings, fleet-shape observations are notes.
+    # Both kept verdicts are degraded-service warnings.
     by_tier = {
-        Severity.ERROR: {"SV001", "SV003"},
-        Severity.WARNING: {"SV002", "SV004", "SV005", "SV007"},
-        Severity.NOTE: {"SV006", "SV008"},
+        Severity.ERROR: set(),
+        Severity.WARNING: {"SV002", "SV004"},
+        Severity.NOTE: set(),
     }
     for severity, expected in by_tier.items():
         actual = {

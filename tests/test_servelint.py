@@ -1,6 +1,6 @@
 """servelint: the static cache-survivability analyzer.
 
-Covers the model primitives, the SV finding emission over a generated
+Covers the model primitives, the SV002/SV004 findings over a generated
 world, byte-level determinism of the reports
 (including across hash seeds, via subprocess), the CLI wiring, and the
 serve-vs-static differential oracle's zero-unexplained contract at
@@ -22,13 +22,14 @@ import pytest
 from repro.cli import main
 from repro.dns.name import DnsName
 from repro.lint.output import render_json, render_sarif
-from repro.serve.service import BackoffPolicy, DegradationState, ServeConfig
-from repro.servelint import RULES_BY_ID, SV_RULES, ServeLinter
-from repro.servelint.analyzer import ANALYSIS_PROFILE
-from repro.servelint.model import kind_qname, refresh_backoff_span
+from repro.serve.service import DegradationState
+from repro.servelint import RULES_BY_ID, SV_RULES, SurvivabilityModel
+from repro.servelint.rules import ANALYSIS_PROFILE, findings as sv_findings
+from repro.servelint.model import kind_qname
 from repro.servelint.verify import oracle_json, verify_profile
 from repro.worldgen.config import WorldConfig
 from repro.worldgen.generator import WorldGenerator
+from repro.zonelint.analyzer import ZoneLinter
 
 SEED = 5
 SCALE = 0.004
@@ -47,13 +48,18 @@ def targets(world):
 
 
 @pytest.fixture(scope="module")
-def linter(world):
-    return ServeLinter.for_world(world, seed=SEED)
+def truths(world, targets):
+    return ZoneLinter.for_world(world).analyze_all(targets)
 
 
 @pytest.fixture(scope="module")
-def findings(linter, targets):
-    return linter.findings(linter.zones.analyze_all(targets))
+def model(world):
+    return SurvivabilityModel.for_world(world, seed=SEED)
+
+
+@pytest.fixture(scope="module")
+def findings(model, truths):
+    return sv_findings(model, truths)
 
 
 # ----------------------------------------------------------------------
@@ -74,20 +80,8 @@ class TestModelPrimitives:
         with pytest.raises(ValueError):
             kind_qname(DnsName.parse("example.gov.xx"), "bulk")
 
-    def test_refresh_backoff_span_default(self):
-        # base 5, x2, cap 120, 3 attempts: 5 + 10 + 20.
-        assert refresh_backoff_span(ServeConfig()) == 35.0
-
-    def test_refresh_backoff_span_hits_cap(self):
-        config = ServeConfig(
-            refresh_attempts=5,
-            refresh_backoff=BackoffPolicy(base=60, multiplier=3, cap=100),
-        )
-        # 60 + min(180,100) + 100 + 100 + 100.
-        assert refresh_backoff_span(config) == 460.0
-
-    def test_outage_outlook_is_deterministically_dead(self, linter):
-        outlook = linter.model.outlook(ANALYSIS_PROFILE)
+    def test_outage_outlook_is_deterministically_dead(self, model):
+        outlook = model.outlook(ANALYSIS_PROFILE)
         assert outlook.fault_span == pytest.approx(7200.0)
         assert outlook.dead  # outage windows cover the whole horizon
         assert not outlook.has_bursts
@@ -112,65 +106,24 @@ class TestFindings:
         for finding in findings:
             assert finding.severity is RULES_BY_ID[finding.rule_id].severity
 
-    def test_stale_survivors_also_flag_futile_refresh(self, findings):
-        # At defaults the 35s backoff span sits inside the 7200s outage
-        # window, so every SV002 domain is also an SV007 domain.
-        by_rule = {}
-        for finding in findings:
-            by_rule.setdefault(finding.rule_id, set()).add(finding.path)
-        assert by_rule.get("SV002") == by_rule.get("SV007")
-
-    def test_ttl_cohort_note_fires_at_the_clamp(self, findings):
-        cohort = [f for f in findings if f.rule_id == "SV006"]
-        assert len(cohort) == 1
-        assert cohort[0].path == "world/serving-config"
-        assert "300s" in cohort[0].message
-
-    def test_sv005_fires_when_negative_ttl_drops(self, world, targets):
-        tight = ServeLinter.for_world(
-            world, seed=SEED, config=ServeConfig(negative_ttl=30)
-        )
-        findings = tight.findings(tight.zones.analyze_all(targets))
-        sv005 = [f for f in findings if f.rule_id == "SV005"]
-        assert sv005
-        assert all("30s" in f.message for f in sv005)
-
-    def test_sv008_fires_when_stale_window_cannot_bridge(
-        self, world, targets
-    ):
-        small = ServeLinter.for_world(
-            world,
-            seed=SEED,
-            config=ServeConfig(max_ttl=60, stale_window=60.0),
-        )
-        findings = small.findings(small.zones.analyze_all(targets))
-        sv008 = [f for f in findings if f.rule_id == "SV008"]
-        assert len(sv008) == 1
-        assert sv008[0].path == "world/serving-config"
-
-    def test_sv008_silent_at_defaults(self, findings):
-        # 300s modal TTL + 14400s stale window bridges the 7200s
-        # outage window with room to spare.
-        assert not [f for f in findings if f.rule_id == "SV008"]
-
 
 # ----------------------------------------------------------------------
 # Determinism
 # ----------------------------------------------------------------------
 class TestDeterminism:
-    def test_rebuilt_linter_is_byte_identical(self, world, targets, findings):
-        rebuilt = ServeLinter.for_world(world, seed=SEED)
-        again = rebuilt.findings(rebuilt.zones.analyze_all(targets))
+    def test_rebuilt_linter_is_byte_identical(self, world, truths, findings):
+        rebuilt = SurvivabilityModel.for_world(world, seed=SEED)
+        again = sv_findings(rebuilt, truths)
         first = render_json(findings)
         second = render_json(again)
         assert first == second
         # Pins the findings bytes across refactors of the model.
         assert hashlib.sha256(first.encode()).hexdigest() == (
-            "6ca57e94eecb8d2554ed77937855bcf4000df470df63d57128b36ff9d276f800"
+            "bbc0662f9c9e2060948519dcfb7a05b177295545f257a6a76c348f25fbf86eed"
         )
         assert render_sarif(
-            findings, SV_RULES, "1.0.0", tool="servelint"
-        ) == render_sarif(again, SV_RULES, "1.0.0", tool="servelint")
+            findings, SV_RULES, "2.0.0", tool="servelint"
+        ) == render_sarif(again, SV_RULES, "2.0.0", tool="servelint")
 
     def test_sarif_bytes_survive_hash_seed_changes(self, tmp_path):
         outputs = []
@@ -244,16 +197,57 @@ class TestCli:
         for profile in ("idle", "outage", "flaky", "mixed"):
             assert profile in text
 
+    def test_json_out_without_verify_is_a_usage_error_before_worldgen(
+        self, monkeypatch, tmp_path
+    ):
+        import repro.servelint.cli as servelint_cli
+
+        def no_worldgen(*args, **kwargs):
+            raise AssertionError("worldgen ran before --json-out was checked")
+
+        monkeypatch.setattr(servelint_cli, "world_at_epoch", no_worldgen)
+        target = tmp_path / "oracle.json"
+        code, text = self.run_cli(
+            [
+                "--seed",
+                str(SEED),
+                "--scale",
+                str(SCALE),
+                "servelint",
+                "--json-out",
+                str(target),
+            ]
+        )
+        assert code == 2
+        assert text.startswith("error: ")
+        assert "--json-out" in text and "--verify" in text
+        assert not target.exists()
+
 
 # ----------------------------------------------------------------------
 # The differential oracle
 # ----------------------------------------------------------------------
+def _serve_oracle(profile):
+    return verify_profile(SEED, SCALE, profile, duration=300.0, qps=10.0)
+
+
+@pytest.fixture(scope="module")
+def serve_oracle():
+    """One seed-5 serve run per profile, shared by the module's tests."""
+    runs = {}
+
+    def run(profile):
+        if profile not in runs:
+            runs[profile] = _serve_oracle(profile)
+        return runs[profile]
+
+    return run
+
+
 class TestOracle:
     @pytest.mark.parametrize("profile", ["idle", "outage"])
-    def test_zero_unexplained(self, profile):
-        oracle = verify_profile(
-            SEED, SCALE, profile, duration=300.0, qps=10.0
-        )
+    def test_zero_unexplained(self, serve_oracle, profile):
+        oracle = serve_oracle(profile)
         assert oracle.pairs > 0
         assert oracle.agreements > 0
         assert not oracle.unexplained, [
@@ -261,22 +255,17 @@ class TestOracle:
             for d in oracle.unexplained
         ]
 
-    def test_idle_run_has_no_disagreements_at_all(self):
-        oracle = verify_profile(
-            SEED, SCALE, "idle", duration=300.0, qps=10.0
-        )
+    def test_idle_run_has_no_disagreements_at_all(self, serve_oracle):
+        oracle = serve_oracle("idle")
         assert not oracle.disagreements
         assert (
             oracle.agreements + oracle.never_queried == oracle.pairs
         )
 
-    def test_oracle_json_is_sorted_and_stable(self):
-        first = verify_profile(
-            SEED, SCALE, "outage", duration=300.0, qps=10.0
-        )
-        second = verify_profile(
-            SEED, SCALE, "outage", duration=300.0, qps=10.0
-        )
+    def test_oracle_json_is_sorted_and_stable(self, serve_oracle):
+        # Two independent outage runs: the shared one and a fresh one.
+        first = serve_oracle("outage")
+        second = _serve_oracle("outage")
         assert oracle_json([first]) == oracle_json([second])
         # Pins the oracle bytes across refactors of the serve pipeline.
         assert hashlib.sha256(oracle_json([first]).encode()).hexdigest() == (
