@@ -722,7 +722,7 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
 
     print(f"domains probed: {len(dataset)}", file=out)
     print(f"dataset-digest: {dataset_digest(dataset)}", file=out)
-    report = ResilienceReport.collect(counters, dataset, args.chaos)
+    report = ResilienceReport.collect(counters, args.chaos)
     print(report.render(), file=out)
     for index, stats in enumerate(counters.per_shard):
         print(

@@ -10,7 +10,7 @@ traffic counters — the reproduction equivalent of an IRB artifact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..inet.address import IPv4Address
 from ..net.network import Network

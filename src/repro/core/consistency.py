@@ -17,7 +17,7 @@ paper's 13 d_ns / 26 domains / 7 countries finding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..dns.name import DnsName
@@ -27,7 +27,6 @@ from .dataset import (
     UNCLASSIFIED,
     MeasurementDataset,
     ProbeResult,
-    ServerOutcome,
 )
 from .delegation import DelegationAnalysis
 

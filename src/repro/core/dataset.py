@@ -4,16 +4,16 @@ Every analysis in :mod:`repro.core` consumes :class:`ProbeResult`
 objects — one per probed domain — so the data model here is the
 contract between the active-measurement pipeline and the §IV analyses.
 
-Two representations coexist:
+A dataset stores one form and derives the rest:
 
-* The **dict-of-results view** (``dataset.results``) is canonical: the
-  prober produces it, :func:`repro.core.journal.dataset_digest`
-  serializes it, and every byte of the committed digests depends on it
-  alone.  A dataset decoded from serialized results (the sharded
-  merge) also keeps the canonical rows it was decoded from
-  (``dataset.rows``), so the digest streams those instead of
-  serializing every result a second time; either way the bytes are
-  the same.  Nothing about the columnar store can perturb a digest.
+* **The stored form** is either ``dataset.results``, the
+  dict-of-results an inline campaign's prober produces, or
+  ``dataset.rows``, the canonical rows (:func:`repro.core.journal.result_row`)
+  a sharded campaign's workers shipped.  Every byte of the committed
+  digests is defined over those rows: :func:`repro.core.journal.dataset_digest`
+  streams a row-backed dataset's rows as they are, and serializes an
+  inline dataset's results.  A row-backed dataset decodes ``results``
+  only when a caller first asks for a :class:`ProbeResult`.
 * The **columnar store** (:class:`DatasetColumns`, reached via
   ``dataset.columns``) is a derived index built lazily on first use:
   one fused pass over the results computes every per-domain verdict
@@ -23,6 +23,7 @@ Two representations coexist:
   The analyses then sweep flat columns (``bytes.count`` for shares,
   ``zip`` for grouped sweeps) instead of re-deriving the same
   properties from per-domain object graphs thousands of times.
+  Nothing about the columnar store can perturb a digest.
 
 Name-typed columns (defective nameservers, parent-only/child-only
 sets) hold tuples of interned :class:`~repro.dns.name.DnsName`
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..dns.name import DnsName
 from ..inet.address import IPv4Address
@@ -559,38 +560,51 @@ class DatasetColumns:
         )
 
 
-@dataclass
 class MeasurementDataset:
-    """The full campaign's results plus simple accessors.
+    """A campaign's results in admission order, from one source:
+    ``results`` (inline campaigns) or ``rows`` (:meth:`from_rows`).
 
-    ``results`` is the canonical store; ``columns`` is the lazily-built
-    columnar index the §IV analyses sweep.  ``rows``, when set, holds
-    each result's canonical row (:func:`repro.core.journal.result_row`)
-    in ``results`` order: the bytes the results were decoded from,
-    kept so the digest need not serialize them again.  Treat a dataset
-    as frozen once built — mutating ``results`` would desynchronize it
-    from its columns and its rows.
+    A row-backed dataset decodes ``results`` on first access and caches
+    them; its length, membership, merge and digest need no decode.
+    ``columns`` is the columnar index, built lazily from ``results``.
+    Treat a dataset as frozen once built.
     """
 
-    results: Dict[DnsName, ProbeResult]
-    rows: Optional[Tuple[bytes, ...]] = field(
-        default=None, repr=False, compare=False
-    )
-    _columns: Optional[DatasetColumns] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("_results", "rows", "_columns")
 
-    def __post_init__(self) -> None:
-        if self.rows is not None and len(self.rows) != len(self.results):
-            raise ValueError(
-                f"{len(self.rows)} rows for {len(self.results)} results"
-            )
+    def __init__(self, results: Dict[DnsName, ProbeResult]) -> None:
+        self._results: Optional[Dict[DnsName, ProbeResult]] = results
+        self.rows: Optional[Dict[DnsName, bytes]] = None
+        self._columns: Optional[DatasetColumns] = None
+
+    @classmethod
+    def from_rows(cls, rows: Dict[DnsName, bytes]) -> "MeasurementDataset":
+        """A dataset whose source is ``rows`` (domain → canonical row,
+        in sorted admission order)."""
+        dataset = cls.__new__(cls)
+        dataset._results, dataset.rows, dataset._columns = None, rows, None
+        return dataset
+
+    @property
+    def results(self) -> Dict[DnsName, ProbeResult]:
+        if self._results is None:
+            from .journal import result_from_row  # journal imports us
+
+            self._results = {
+                domain: result_from_row(row)
+                for domain, row in self.rows.items()
+            }
+        return self._results
 
     @property
     def columns(self) -> DatasetColumns:
         if self._columns is None:
             self._columns = DatasetColumns.build(self.results)
         return self._columns
+
+    def _source(self) -> Mapping[DnsName, object]:
+        """The stored form, keyed by domain in admission order."""
+        return self.rows if self.rows is not None else self.results
 
     @classmethod
     def merge(
@@ -602,13 +616,12 @@ class MeasurementDataset:
         """Combine disjoint per-shard datasets into admission order.
 
         The campaign admits domains in sorted order, so the merge
-        concatenates the per-part domain columns and argsorts the
-        union by admission key — the result is byte-identical to a
-        single-process campaign over the same targets regardless of
-        how they were partitioned.  Overlapping shards are a
-        partitioning bug and raise, naming the colliding domain and
-        both offending shards (``labels`` defaults to positional
-        ``"shard N"`` names).
+        concatenates the parts' stored forms and sorts the union by
+        domain — the result is byte-identical to a single-process
+        campaign over the same targets regardless of how they were
+        partitioned.  Overlapping shards are a partitioning bug and
+        raise, naming the colliding domain and both offending shards
+        (``labels`` defaults to positional ``"shard N"`` names).
 
         ``epoch`` tags every shard name with the measurement epoch the
         parts belong to, so a longitudinal pipeline that accidentally
@@ -616,8 +629,8 @@ class MeasurementDataset:
         and the shard named in the error instead of an anonymous
         ``shard N`` collision.
 
-        The merge keeps canonical rows when every non-empty part has
-        them, reordered alongside their results.
+        Row-backed parts merge into a row-backed dataset, decoding
+        nothing; non-empty parts of different forms raise.
         """
         materialized = list(parts)
         if labels is None:
@@ -630,11 +643,14 @@ class MeasurementDataset:
                 )
         if epoch is not None:
             names = [f"epoch {epoch} {name}" for name in names]
-        domains: List[DnsName] = []
-        results: List[ProbeResult] = []
+        forms = {part.rows is not None for part in materialized if len(part)}
+        if len(forms) > 1:
+            raise ValueError("cannot merge row-backed and result-backed parts")
+        entries: List[Tuple[DnsName, object]] = []
         owner: Dict[DnsName, int] = {}
         for index, part in enumerate(materialized):
-            for domain, result in part.results.items():
+            source = part._source()
+            for domain in source:
                 previous = owner.get(domain)
                 if previous is not None:
                     raise ValueError(
@@ -642,17 +658,14 @@ class MeasurementDataset:
                         f"{names[previous]} and {names[index]}"
                     )
                 owner[domain] = index
-                domains.append(domain)
-                results.append(result)
-        order = sorted(range(len(domains)), key=domains.__getitem__)
-        rows: Optional[Tuple[bytes, ...]] = None
-        if all(part.rows is not None for part in materialized if part.results):
-            kept = [row for part in materialized for row in part.rows or ()]
-            rows = tuple(kept[i] for i in order)
-        return cls({domains[i]: results[i] for i in order}, rows)
+            entries.extend(source.items())
+        entries.sort(key=lambda entry: entry[0])
+        if forms == {True}:
+            return cls.from_rows(dict(entries))
+        return cls(dict(entries))
 
     def __len__(self) -> int:
-        return len(self.results)
+        return len(self._source())
 
     def __iter__(self) -> Iterator[ProbeResult]:
         return iter(self.results.values())
@@ -661,7 +674,7 @@ class MeasurementDataset:
         return self.results[domain]
 
     def __contains__(self, domain: DnsName) -> bool:
-        return domain in self.results
+        return domain in self._source()
 
     # Population slices used throughout §IV -----------------------------
     def with_parent_response(self) -> List[ProbeResult]:
@@ -691,19 +704,6 @@ class MeasurementDataset:
             for domain, flag in zip(columns.domains, columns.responsive)
             if flag
         ]
-
-    def persistence_counts(self) -> Dict[str, int]:
-        """Histogram of :attr:`ProbeResult.failure_persistence` values
-        (domains with nothing to classify are excluded)."""
-        column = self.columns.persistence
-        counts: Dict[str, int] = {}
-        for code, name in enumerate(PERSISTENCE_CODES):
-            if name is None:
-                continue
-            count = column.count(code)
-            if count:
-                counts[name] = count
-        return counts
 
     def by_country(self) -> Dict[str, List[ProbeResult]]:
         columns = self.columns

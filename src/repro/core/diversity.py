@@ -9,7 +9,7 @@ replicas do not share fate — same address, same subnet, or same AS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..geo.geoip import GeoIPDatabase
 from .dataset import MeasurementDataset, ProbeResult

@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii
 from typing import (
     Any,
     Dict,
@@ -97,6 +98,7 @@ __all__ = [
     "result_row",
     "result_to_dict",
     "read_shard_manifest",
+    "row_is_for",
     "shard_journal_path",
     "write_shard_manifest",
 ]
@@ -178,8 +180,8 @@ def result_from_dict(data: Mapping[str, Any]) -> ProbeResult:
 
     Names and addresses go through memoized parsers
     (:func:`~repro.dns.name.parse_cached`,
-    :func:`~repro.inet.address.parse_address_cached`): a sharded merge
-    decodes thousands of results whose hostnames and addresses repeat
+    :func:`~repro.inet.address.parse_address_cached`): a row-backed
+    dataset decodes thousands of results whose hostnames and addresses repeat
     heavily (co-hosted NS infrastructure), so each distinct spelling
     is parsed once.
     """
@@ -226,15 +228,21 @@ def result_from_row(row: bytes) -> ProbeResult:
     return result_from_dict(json.loads(row))
 
 
+def row_is_for(row: bytes, domain: DnsName) -> bool:
+    """Is ``row`` the canonical row of ``domain``?  Read off the bytes:
+    ``"domain"`` is a key only at a row's top level."""
+    return b'"domain":' + encode_basestring_ascii(str(domain)).encode() in row
+
+
 def dataset_rows(dataset: MeasurementDataset) -> Iterator[Tuple[DnsName, bytes]]:
     """Every ``(domain, canonical row)`` of ``dataset``, in admission
-    (sorted-domain) order: the kept rows when the results arrived
-    serialized, otherwise :func:`result_row` of each result, one at a
-    time.  The one source of rows for digests and delta chains."""
-    results = dataset.results
+    (sorted-domain) order: a row-backed dataset's rows as stored,
+    otherwise :func:`result_row` of each result, one at a time.  The
+    one source of rows for digests and delta chains."""
     if dataset.rows is not None:
-        yield from sorted(zip(results, dataset.rows))
+        yield from dataset.rows.items()
         return
+    results = dataset.results
     for domain in sorted(results):
         yield domain, result_row(results[domain])
 

@@ -21,10 +21,10 @@ plausibly changed.  This module is the storage layer for that loop:
 * **Rows serialized once.**  The dataset keeps each domain's current
   canonical row (:func:`~repro.core.journal.result_row`), taken from
   :func:`~repro.core.journal.dataset_rows`: a sharded probe's shipped
-  rows are kept as they arrived, an inline probe's results are
-  serialized once.  An epoch compares its probed rows byte-for-byte
-  against the stored rows, and streams the epoch digest over the
-  stored rows in the fixed universe order.  Rows are captured when a
+  rows (its dataset's stored form) are kept as they arrived, an inline
+  probe's results are serialized once.  An epoch compares its probed
+  rows byte-for-byte against the stored rows, and streams the epoch
+  digest over the stored rows in the fixed universe order.  Rows are captured when a
   result is appended, so mutating a :class:`ProbeResult` afterwards
   does not change later digests — results are treated as frozen.
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..dns.name import DnsName
 from .dataset import DatasetColumns, MeasurementDataset, ProbeResult

@@ -14,7 +14,7 @@ three tricks, all implemented here exactly as the paper describes:
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from ..dns.name import DnsName
 from ..dns.rdata import SOA

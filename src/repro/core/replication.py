@@ -12,7 +12,7 @@ Two data sources, as in the paper:
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..dns.name import DnsName

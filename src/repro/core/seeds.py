@@ -21,7 +21,7 @@ Reproduces the paper's §III-A decisions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from ..dns.errors import NameError_
 from ..dns.name import DnsName

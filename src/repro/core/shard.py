@@ -33,12 +33,14 @@ Three mechanisms carry that promise:
    keeps runs *reproducible* per (seed, K) though not K-invariant.
 3. **Order-free merge.**  Workers ship each result's canonical row
    (:func:`repro.core.journal.result_row`, the bytes the digest is
-   defined over); the parent decodes every row once and merges the
-   results back into the campaign's sorted admission order
-   (:meth:`repro.core.dataset.MeasurementDataset.merge`), so worker
-   completion order is invisible.  The merged dataset keeps the
-   shipped rows, and its digest streams them rather than serializing
-   every result a second time.
+   defined over).  The parent pairs each worker's rows with the
+   domains of its own partition, checks their count and identity on
+   the bytes, and merges them back into the campaign's sorted
+   admission order (:meth:`repro.core.dataset.MeasurementDataset.merge`),
+   so worker completion order is invisible.  The rows are the merged
+   dataset's stored form: its digest streams them, and a
+   :class:`~repro.core.dataset.ProbeResult` is decoded only when a
+   caller asks for one.
 
 Workers prefer the ``fork`` start method (the parent's generated world
 is inherited copy-on-write — nothing about it is pickled or
@@ -48,7 +50,7 @@ parent's subset of it.  :meth:`ProcessCampaignRunner.run` brackets the
 fan-out and the merge in :func:`gc.freeze` / :func:`gc.unfreeze`: the
 world is read-only while the workers run, so moving it to the
 collector's permanent generation keeps a full collection — in a
-worker, or in the parent while it decodes rows — from walking
+worker, or in the parent while it receives rows — from walking
 hundreds of thousands of world objects, and keeps the collector from
 touching (and so copying) the pages a forked worker shares with the
 parent.  Journals are per-shard files under a manifest (see
@@ -68,6 +70,7 @@ import multiprocessing
 import os
 import random
 import traceback
+from collections import Counter
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
@@ -79,8 +82,8 @@ from .dataset import MeasurementDataset
 from .journal import (
     CampaignJournal,
     campaign_digest,
-    result_from_row,
     result_row,
+    row_is_for,
     shard_journal_path,
     write_shard_manifest,
 )
@@ -179,7 +182,8 @@ class CampaignCounters:
     across shards (:meth:`fold_shards`) sums the counts but takes the
     slowest shard's virtual seconds, since workers advance private
     clock copies side by side.  The journal flags are or-ed.  ``chaos``
-    is the chaos-stats delta (empty when no schedule was installed).
+    is the chaos-stats delta (empty when no schedule was installed);
+    ``persistence`` counts the results' ``failure_persistence`` values.
     ``per_shard`` is set only by a fold; ``+=`` clears it, so a summed
     counter never shows a partial breakdown.
     """
@@ -197,6 +201,7 @@ class CampaignCounters:
     breaker_trips: int = 0
     breaker_open_at_end: int = 0
     chaos: Dict[str, int] = field(default_factory=dict)
+    persistence: Dict[str, int] = field(default_factory=dict)
     # The checkpoint journal, when the campaign kept one.
     journaled: bool = False
     resumed: bool = False
@@ -210,8 +215,10 @@ class CampaignCounters:
     def __iadd__(self, other: "CampaignCounters") -> "CampaignCounters":
         for name in _SUMMED:
             setattr(self, name, getattr(self, name) + getattr(other, name))
-        for key, count in other.chaos.items():
-            self.chaos[key] = self.chaos.get(key, 0) + count
+        for name in ("chaos", "persistence"):
+            mine = getattr(self, name)
+            for key, count in getattr(other, name).items():
+                mine[key] = mine.get(key, 0) + count
         self.journaled = self.journaled or other.journaled
         self.resumed = self.resumed or other.resumed
         self.per_shard = ()
@@ -321,6 +328,8 @@ def _run_inline(
     if kill_at_event is not None:
         network.events.abort_after = network.events.fired + kill_at_event
     dataset = prober.probe_all(targets)
+    persistence = Counter(result.failure_persistence for result in dataset)
+    del persistence[None]  # nothing to classify
     resilience = prober.resilience
     breaker = prober.breaker
     chaos_delta = (
@@ -346,6 +355,7 @@ def _run_inline(
             breaker.open_count() if breaker is not None else 0
         ),
         chaos=chaos_delta,
+        persistence=dict(persistence),
     )
     if journal is not None:
         counters.journaled = True
@@ -432,7 +442,6 @@ class ProcessCampaignRunner:
         self._targets = dict(targets)
         self._config = config
         self.shards = shards
-        self._suffixes = suffixes
         self._journal_path = journal_path
         self._kill_at_event = kill_at_event
         # Longitudinal context: which measurement epoch these targets
@@ -440,6 +449,7 @@ class ProcessCampaignRunner:
         # merge-collision errors carry the epoch label (the world passed
         # in must already be advanced to it).
         self._epoch = epoch
+        self._parts = partition(self._targets, shards, suffixes)
         self.shard_stats: List[CampaignCounters] = []
 
     # ------------------------------------------------------------------
@@ -463,7 +473,7 @@ class ProcessCampaignRunner:
                 f"without the fork start method: workers rebuild chaos "
                 f"from its profile name"
             )
-        parts = partition(self._targets, self.shards, self._suffixes)
+        parts = self._parts
         config = self._world.config
         # Under spawn, the (possibly partial) target list travels by
         # name so workers can slice the re-derived full list.
@@ -570,27 +580,31 @@ class ProcessCampaignRunner:
         return [payloads[index] for index in sorted(payloads)]
 
     def merge(self, collected: List[_Payload]) -> MeasurementDataset:
-        """Decode per-shard rows and restore admission order; the merged
-        dataset keeps the rows for its digest."""
+        """Pair each shard's rows with its partition's domains, check
+        count and order on the bytes, and merge without decoding."""
         self.shard_stats = [stats for _, stats in collected]
-        parts = []
-        for rows, _ in collected:
-            results = {}
-            for row in rows:
-                result = result_from_row(row)
-                results[result.domain] = result
-            parts.append(MeasurementDataset(results, tuple(rows)))
-        merged = MeasurementDataset.merge(
-            parts,
-            labels=[f"shard {index}" for index in range(len(parts))],
-            epoch=self._epoch,
-        )
-        if len(merged) != len(self._targets):
+        parts = self._parts
+        if len(collected) != len(parts):
             raise RuntimeError(
-                f"sharded merge lost domains: {len(merged)} merged "
-                f"!= {len(self._targets)} targets"
+                f"sharded merge lost domains: {len(collected)} payloads "
+                f"for {len(parts)} shards"
             )
-        return merged
+        labels = [f"shard {index}" for index in range(len(parts))]
+        datasets = []
+        for label, domains, (rows, _) in zip(labels, parts, collected):
+            if len(rows) != len(domains) or not all(
+                map(row_is_for, rows, domains)
+            ):
+                raise RuntimeError(
+                    f"{label} shipped {len(rows)} rows that do not match "
+                    f"its {len(domains)} domains in order"
+                )
+            datasets.append(
+                MeasurementDataset.from_rows(dict(zip(domains, rows)))
+            )
+        return MeasurementDataset.merge(
+            datasets, labels=labels, epoch=self._epoch
+        )
 
     def run(self) -> MeasurementDataset:
         """Collect and merge inside a frozen heap (see the module

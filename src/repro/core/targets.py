@@ -8,7 +8,7 @@ budget and pollute the deployment statistics.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from ..dns.name import DnsName
 from ..dns.rdata import RRType

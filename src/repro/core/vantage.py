@@ -11,7 +11,7 @@ servers).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dns.name import DnsName
 from ..inet.address import IPv4Address

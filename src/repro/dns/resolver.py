@@ -15,7 +15,7 @@ failures (timeout vs refusal vs lame referral) without re-probing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..inet.address import IPv4Address
@@ -24,7 +24,7 @@ from ..inet.transport import QueryTimeout, QueryTransport
 from .cache import ResolverCache, ZoneCutCache
 from .errors import NoNameservers, ResolutionLoop
 from .message import Message, Rcode, make_query
-from .name import DnsName, ROOT
+from .name import DnsName
 from .rdata import A, NS, RRType
 from .rrset import RRset
 

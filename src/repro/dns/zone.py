@@ -13,7 +13,7 @@ empty-non-terminal handling), NODATA, and CNAME indirection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Set, Tuple
 
 from ..inet.address import IPv4Address

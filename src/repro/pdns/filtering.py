@@ -15,7 +15,7 @@ Two filters are applied before the longitudinal analyses:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..dns.name import DnsName
 from ..inet.clock import SECONDS_PER_DAY

@@ -10,7 +10,7 @@ instead.  This module models exactly that queryable policy surface.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Set
 
 from ..dns.name import DnsName
 

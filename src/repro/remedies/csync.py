@@ -14,7 +14,7 @@ application step against our zone model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..dns.name import DnsName

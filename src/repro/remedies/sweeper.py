@@ -19,7 +19,7 @@ cleanup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.delegation import DelegationAnalysis, DelegationClass
 from ..core.consistency import ConsistencyAnalysis

@@ -10,13 +10,10 @@ with concrete remediation advice per finding class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..dns.name import DnsName
 from .tables import render_table
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.study import GovernmentDnsStudy
 
 __all__ = ["Finding", "DisclosurePackage", "build_disclosures", "render_package"]
 

@@ -8,9 +8,8 @@ reproduction is graded on — without plotting dependencies.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Mapping, Sequence, Tuple
 
 __all__ = ["Series", "Distribution", "render_series", "render_bars", "cdf_points"]
 
@@ -28,9 +27,6 @@ class Series:
             name,
             tuple(sorted((float(k), float(v)) for k, v in mapping.items())),
         )
-
-    def y_values(self) -> Tuple[float, ...]:
-        return tuple(y for _, y in self.points)
 
 
 @dataclass(frozen=True)

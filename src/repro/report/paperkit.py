@@ -10,14 +10,11 @@ they say "give me the paper's numbers for my own plots".
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from .export import write_csv
 from .figures import Distribution, Series, cdf_points, render_bars, render_series
 from .tables import format_percent, render_table
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.study import GovernmentDnsStudy
 
 __all__ = ["ARTIFACTS", "render_all", "export_all"]
 

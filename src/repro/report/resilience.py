@@ -4,8 +4,9 @@ One small report answering "what did the failure machinery actually
 do?": how often the circuit breaker tripped and how many probes it
 skipped, how much retransmission backoff cost in simulated time, what
 the chaos schedule injected, how many exchanges a resumed campaign
-replayed from its journal, and how the dataset's unresponsive domains
-split into transient vs. persistent failures.
+replayed from its journal, and how the campaign's unresponsive domains
+split into transient vs. persistent failures.  Every field comes from
+the campaign's counters, so the report reads nothing of the dataset.
 
 The JSON payload is the artifact the CI chaos-smoke job uploads; the
 text rendering backs ``repro campaign``'s summary output.
@@ -20,7 +21,6 @@ from .export import to_json, write_json
 from .tables import render_table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from ..core.dataset import MeasurementDataset
     from ..core.shard import CampaignCounters
 
 __all__ = ["ResilienceReport"]
@@ -44,18 +44,17 @@ class ResilienceReport:
     resumed: bool = False
     journal_replayed_sends: int = 0
     journal_recovered_results: int = 0
-    # Dataset-level transient-vs-persistent split
+    # Transient-vs-persistent split of unresponsive domains
     persistence: Dict[str, int] = field(default_factory=dict)
 
     @classmethod
     def collect(
         cls,
         counters: "CampaignCounters",
-        dataset: "MeasurementDataset",
         chaos_profile: Optional[str] = None,
     ) -> "ResilienceReport":
         """Build the report from a campaign's counters (inline or
-        folded across shards) and the dataset it produced."""
+        folded across shards)."""
         return cls(
             retransmits=counters.retransmits,
             backoff_wait_seconds=counters.backoff_wait_seconds,
@@ -68,7 +67,7 @@ class ResilienceReport:
             resumed=counters.resumed,
             journal_replayed_sends=counters.journal_replayed_sends,
             journal_recovered_results=counters.journal_recovered_results,
-            persistence=dataset.persistence_counts(),
+            persistence=dict(counters.persistence),
         )
 
     # ------------------------------------------------------------------

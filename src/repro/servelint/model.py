@@ -93,7 +93,6 @@ class ChaosOutlook:
         upstream_timeout: float,
     ) -> None:
         self.name = name
-        self.horizon = horizon
         dead: List[IPv4Address] = []
         partial: List[IPv4Address] = []
         fault_span = 0.0
@@ -153,8 +152,6 @@ class ChaosOutlook:
 class KindPrediction:
     """Acceptable degradation states for one (domain, kind, profile)."""
 
-    domain: DnsName
-    kind: str
     qname: DnsName
     chaos_status: str
     expected: Tuple[str, ...]
@@ -379,8 +376,6 @@ class SurvivabilityModel:
             state for state in DegradationState.ALL if state in states
         )
         return KindPrediction(
-            domain=domain,
-            kind=kind,
             qname=qname,
             chaos_status=chaos_variants[0].status,
             expected=expected,

@@ -35,7 +35,7 @@ Design constraints that keep the incremental layer sound:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dns.name import DnsName

@@ -17,8 +17,8 @@ calibration targets copied from the paper's tables.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
 from ..geo.regions import UN_MEMBERS, Country
 

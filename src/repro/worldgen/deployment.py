@@ -14,13 +14,12 @@ to one country's estate), ``multi_asn`` really does straddle ASes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dns.name import DnsName
 from ..dns.rdata import A, NS, RRType, SOA
-from ..dns.rrset import RRset
-from ..dns.server import AuthoritativeServer, MissBehavior
+from ..dns.server import AuthoritativeServer
 from ..dns.zone import Zone
 from ..geo.asn import AutonomousSystem
 from ..geo.geoip import GeoIPDatabase
@@ -269,10 +268,6 @@ class ProviderInstance:
         if len(pool) < self._pool_target:
             return self._create_set(layout)
         return pool[self._rng.randrange(len(pool))]
-
-    def sample_layout(self) -> str:
-        weights = self.spec.layout_weights
-        return self._rng.choices(NsLayout.ALL, weights=weights, k=1)[0]
 
     # ------------------------------------------------------------------
     # Customer zones

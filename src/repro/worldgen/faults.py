@@ -20,7 +20,7 @@ paper's taxonomy:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Tuple
 

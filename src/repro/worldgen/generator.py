@@ -31,7 +31,7 @@ from ..dns.rdata import A, NS, RRType, SOA
 from ..dns.rrset import RRset
 from ..dns.server import AuthoritativeServer, MissBehavior
 from ..dns.zone import Zone
-from ..geo.asn import AsnRegistry, AutonomousSystem
+from ..geo.asn import AsnRegistry
 from ..geo.geoip import GeoIPDatabase
 from ..inet.address import BlockAllocator, IPv4Address, IPv4Prefix
 from ..inet.clock import SimulatedClock, date_to_epoch

@@ -17,8 +17,8 @@ scale (fractions of ~113.5k/192.6k total); ``countries_2011``/
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 __all__ = ["NsLayout", "ProviderSpec", "PROVIDERS", "provider_by_key"]
 

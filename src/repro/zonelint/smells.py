@@ -17,7 +17,6 @@ dependency points the other way (ARCH001).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..lint.findings import RuleDescriptor, Severity

@@ -19,11 +19,10 @@ from repro.dns import (
     NS,
     Resolver,
     ResolverCache,
-    RRType,
     SOA,
     Zone,
 )
-from repro.net import IPv4Address, Network, SimulatedClock
+from repro.net import IPv4Address, Network
 from repro.worldgen import WorldConfig, WorldGenerator
 
 TEST_SCALE = 0.004

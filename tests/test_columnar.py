@@ -129,15 +129,6 @@ class TestColumnarEquivalence:
         responsive = {r.domain for r in dataset if r.responsive}
         assert {r.domain for r in dataset.responsive()} == responsive
 
-        expected_counts: dict = {}
-        for result in dataset:
-            verdict = result.failure_persistence
-            if verdict is not None:
-                expected_counts[verdict] = (
-                    expected_counts.get(verdict, 0) + 1
-                )
-        assert dataset.persistence_counts() == expected_counts
-
     def test_unclassified_sentinel_never_collides_with_codes(self):
         assert UNCLASSIFIED > len(CONSISTENCY_CODES)
         assert UNCLASSIFIED > len(PERSISTENCE_CODES)

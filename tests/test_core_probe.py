@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.dataset import (
-    MeasurementDataset,
     ParentStatus,
     ProbeResult,
     ServerOutcome,

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.core.seeds import SeedSelector
-from repro.core.study import GovernmentDnsStudy
 from repro.core.targets import TargetListBuilder, looks_disposable
-from repro.dns import DnsName, Resolver, ResolverCache, RRType
-from repro.inet.clock import date_to_epoch
+from repro.dns import DnsName, Resolver, ResolverCache
 from repro.pdns.database import PdnsDatabase
 from repro.worldgen.countries import (
     AD_PARKED_PORTAL_ISO2,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.ethics import RateLimiter, research_ptr_zone
-from repro.core.study import GovernmentDnsStudy
 from repro.dns import DnsName, RRType
 from repro.inet.address import IPv4Address
 from repro.inet.clock import SimulatedClock

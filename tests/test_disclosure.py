@@ -10,7 +10,6 @@ from repro.report.disclosure import (
     build_disclosures,
     render_package,
 )
-from repro.worldgen.generator import TargetStatus
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dns.message import Message, Question, Rcode, make_query, make_response
+from repro.dns.message import Question, Rcode, make_query, make_response
 from repro.dns.name import ROOT, DnsName
 from repro.dns.rdata import AAAA, CNAME, MX, NS, PTR, RRType, SOA, TXT, A
 from repro.dns.rrset import RRset

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.inet.address import IPv4Address
-from repro.inet.clock import SimulatedClock
 from repro.net.latency import FixedLatency, LogNormalLatency
 from repro.net.network import FunctionHost, Network, QueryTimeout
 

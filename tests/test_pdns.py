@@ -17,7 +17,6 @@ from repro.pdns.filtering import (
 )
 from repro.pdns.record import PdnsRecord
 from repro.pdns.sensor import Sensor, ZoneFileImporter
-from repro.registry.whois import ArchiveIndex
 
 N = DnsName.parse
 

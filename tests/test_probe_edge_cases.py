@@ -1,7 +1,5 @@
 """Edge cases for the probe pipeline and resolver, on hand-built worlds."""
 
-import pytest
-
 from tests.conftest import build_mini_dns
 from repro.core.dataset import ParentStatus, ServerOutcome
 from repro.core.probe import ActiveProber, ProbeConfig

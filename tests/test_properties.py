@@ -4,8 +4,6 @@ These complement the per-module suites with randomized checks of the
 properties the analyses silently rely on.
 """
 
-import random
-
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.dataset import (

@@ -15,14 +15,16 @@ import hashlib
 import io
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cli import main
-from repro.core.dataset import MeasurementDataset, ServerOutcome
+from repro.core.dataset import ServerOutcome
 from repro.core.delegation import DelegationAnalysis
 from repro.core.probe import ActiveProber, ProbeConfig
-from repro.core.shard import CampaignCounters
+from repro.core import journal
+from repro.core.shard import CampaignCounters, run_campaign
 from repro.dns import (
     A,
     AuthoritativeServer,
@@ -438,8 +440,19 @@ class TestTransientVsPersistent:
 
     def test_persistence_counts_histogram(self):
         network, domains = _build_shared_ns_world(domain_count=2)
-        _, dataset = _probe(network, domains)
-        assert dataset.persistence_counts() == {"persistent": 2}
+        world = SimpleNamespace(
+            network=network,
+            root_addresses=[ROOT_ADDRESS],
+            probe_source=IP("203.0.113.7"),
+            clock=network.clock,
+        )
+        _, counters = run_campaign(
+            world,
+            {d: "AU" for d in domains},
+            ProbeConfig(rate_limit_qps=None),
+            suffixes=frozenset(),
+        )
+        assert counters.persistence == {"persistent": 2}
 
 
 class TestResilienceReport:
@@ -476,6 +489,21 @@ class TestResilienceReport:
             tmp_path, self.CHAOS_CAMPAIGN + ["--shards", "1"]
         ) == inline
 
+    def test_sharded_report_decodes_no_row(
+        self, inline, tmp_path, monkeypatch
+    ):
+        """The report and the digest read counters and rows: a sharded
+        campaign's summary never decodes a shipped row."""
+
+        def refuse(row):
+            raise AssertionError("a shipped row was decoded")
+
+        monkeypatch.setattr(journal, "result_from_row", refuse)
+        assert self.report_bytes(
+            tmp_path, self.CHAOS_CAMPAIGN + ["--shards", "1"]
+        ) == inline
+        self.report_bytes(tmp_path, self.CHAOS_CAMPAIGN + ["--shards", "2"])
+
     def test_two_shard_report_folds_worker_counters(self, tmp_path):
         payload = json.loads(
             self.report_bytes(tmp_path, self.CHAOS_CAMPAIGN + ["--shards", "2"])
@@ -485,9 +513,7 @@ class TestResilienceReport:
         assert payload["retransmits"] > 0
 
     def test_plain_campaign_reports_no_chaos(self):
-        report = ResilienceReport.collect(
-            CampaignCounters(retransmits=2), MeasurementDataset({})
-        )
+        report = ResilienceReport.collect(CampaignCounters(retransmits=2))
         assert report.chaos_profile is None and report.chaos == {}
         assert "chaos profile" not in report.render()
         assert report.payload()["retransmits"] == 2

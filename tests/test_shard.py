@@ -30,6 +30,7 @@ from repro.core.journal import (
     shard_journal_path,
     write_shard_manifest,
 )
+from repro.core import journal as journal_module
 from repro.core import shard as shard_module
 from repro.core.probe import ProbeConfig
 from repro.core.shard import (
@@ -44,6 +45,7 @@ from repro.core.shard import (
 from repro.core.study import GovernmentDnsStudy
 from repro.dns.name import DnsName
 from repro.net.events import CampaignAborted
+from repro.report.resilience import ResilienceReport
 from repro.serve.profiles import install_chaos_profile
 from repro.worldgen import WorldConfig, WorldGenerator
 
@@ -280,52 +282,128 @@ class TestProcessCampaignRunner:
 
 
 # ----------------------------------------------------------------------
-# Row transport: workers ship canonical rows, the merge keeps them
+# Row transport: workers ship canonical rows, the merge stores them
 # ----------------------------------------------------------------------
+COLUMN_FIELDS = (
+    "domains", "iso2", "level", "parent_status", "responsive", "retried",
+    "persistence", "defect_verdict", "defect_provisional", "defective_ns",
+    "defective_in_parent", "consistency_verdict", "single_label_ns",
+    "parent_only", "child_only", "ns_count",
+)
+
+
+def campaign_at(shards, seed=7, scale=0.004):
+    study = fresh_study(seed, scale)
+    return run_campaign(
+        study.world,
+        study.targets(),
+        ProbeConfig(),
+        shards=shards,
+        suffixes=government_suffixes(study.seeds().values()),
+    )
+
+
+@pytest.fixture(scope="module")
+def inline_campaign():
+    return campaign_at(None)
+
+
 class TestRowTransport:
     @pytest.mark.parametrize("shards", (1, 2, 3))
-    def test_kept_rows_are_the_decoded_results_rows(self, shards):
-        dataset = fresh_study(7, 0.004, shards=shards).dataset()
+    def test_kept_rows_are_the_decoded_results_rows(
+        self, shards, inline_campaign
+    ):
+        """A row-backed dataset decodes its results and builds its
+        columns on demand, and both equal the inline campaign's, domain
+        by domain; the persistence counter agrees too."""
+        inline, inline_counters = inline_campaign
+        dataset, counters = campaign_at(shards)
         assert dataset.rows is not None
-        assert len(dataset.rows) == len(dataset.results)
-        for result, row in zip(dataset.results.values(), dataset.rows):
+        assert counters.persistence == inline_counters.persistence
+        assert list(dataset.rows) == list(inline.results)
+        for (domain, row), (_, result) in zip(
+            dataset.rows.items(), inline.results.items()
+        ):
+            assert dataset.results[domain] == result
             assert row == result_row(result)
-        # The digest streams the kept rows; without them it serializes
-        # every result, and the bytes must agree.
-        assert dataset_digest(dataset) == dataset_digest(
-            MeasurementDataset(dict(dataset.results))
-        )
+        for name in COLUMN_FIELDS:
+            mine = getattr(dataset.columns, name)
+            theirs = getattr(inline.columns, name)
+            assert len(mine) == len(theirs)
+            for i, value in enumerate(theirs):
+                assert mine[i] == value, (name, inline.columns.domains[i])
+
+    def test_digest_and_report_decode_no_row(
+        self, inline_campaign, monkeypatch
+    ):
+        def refuse(row):
+            raise AssertionError("a shipped row was decoded")
+
+        monkeypatch.setattr(journal_module, "result_from_row", refuse)
+        dataset, counters = campaign_at(2)
+        assert len(dataset) == len(inline_campaign[0])
+        assert dataset_digest(dataset) == dataset_digest(inline_campaign[0])
+        report = ResilienceReport.collect(counters)
+        assert report.persistence == inline_campaign[1].persistence
 
     def test_merge_reorders_kept_rows_with_their_results(self, dataset):
         ordered = sorted(dataset.results)
         parts = [
-            MeasurementDataset(
-                {d: dataset.results[d] for d in domains},
-                tuple(result_row(dataset.results[d]) for d in domains),
+            MeasurementDataset.from_rows(
+                {d: result_row(dataset.results[d]) for d in domains}
             )
             for domains in (ordered[1::2], ordered[0::2])
         ]
         merged = MeasurementDataset.merge(parts)
-        assert merged.rows == tuple(
-            result_row(dataset.results[d]) for d in ordered
-        )
+        assert merged.rows == {
+            d: result_row(dataset.results[d]) for d in ordered
+        }
+        assert list(merged.rows) == ordered
         assert dataset_digest(merged) == dataset_digest(dataset)
 
-    def test_merge_drops_rows_unless_every_part_kept_them(self, dataset):
-        ordered = sorted(dataset.results)
-        kept = MeasurementDataset(
-            {ordered[0]: dataset.results[ordered[0]]},
-            (result_row(dataset.results[ordered[0]]),),
+    def test_merge_refuses_mixed_forms(self, dataset):
+        first, second = sorted(dataset.results)[:2]
+        rows = MeasurementDataset.from_rows(
+            {first: result_row(dataset.results[first])}
         )
-        bare = MeasurementDataset({ordered[1]: dataset.results[ordered[1]]})
-        assert MeasurementDataset.merge([kept, bare]).rows is None
-        empty = MeasurementDataset({})
-        assert MeasurementDataset.merge([kept, empty]).rows is not None
+        results = MeasurementDataset({second: dataset.results[second]})
+        with pytest.raises(ValueError, match="row-backed and result-backed"):
+            MeasurementDataset.merge([rows, results])
+        # An empty part fits either form.
+        merged = MeasurementDataset.merge([rows, MeasurementDataset({})])
+        assert merged.rows is not None and first in merged
 
-    def test_rows_must_match_results(self, dataset):
-        domain = min(dataset.results)
-        with pytest.raises(ValueError, match="2 rows for 1 results"):
-            MeasurementDataset({domain: dataset.results[domain]}, (b"", b""))
+
+class TestPayloadCheck:
+    """The parent pairs each worker's rows with its own partition and
+    refuses a payload that does not match it, without decoding."""
+
+    @pytest.fixture(scope="class")
+    def runner_and_payloads(self):
+        runner = TestProcessCampaignRunner().build(shards=2)
+        return runner, runner.collect()
+
+    @staticmethod
+    def tamper(payloads, edit):
+        rows, counters = payloads[1]
+        return [payloads[0], (edit(list(rows)), counters)]
+
+    @pytest.mark.parametrize(
+        "edit",
+        (
+            lambda rows: rows[:-1],
+            lambda rows: rows + rows[:1],
+            lambda rows: [rows[1], rows[0]] + rows[2:],
+        ),
+        ids=("short", "long", "reordered"),
+    )
+    def test_mismatched_payload_names_the_shard(
+        self, runner_and_payloads, edit
+    ):
+        runner, payloads = runner_and_payloads
+        assert len(payloads[1][0]) >= 2
+        with pytest.raises(RuntimeError, match="shard 1 shipped"):
+            runner.merge(self.tamper(payloads, edit))
 
 
 # ----------------------------------------------------------------------

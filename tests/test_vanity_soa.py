@@ -7,7 +7,6 @@ from repro.core.centralization import CentralizationAnalysis
 from repro.core.provider_id import ProviderMatcher
 from repro.dns import DnsName, RRType, Resolver, ResolverCache
 from repro.worldgen.generator import TargetStatus
-from repro.worldgen.history import STYLE_PROVIDER
 
 N = DnsName.parse
 

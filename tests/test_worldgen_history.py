@@ -11,12 +11,7 @@ from repro.pdns.filtering import stable_records
 from repro.worldgen.config import YEARS, WorldConfig
 from repro.worldgen.countries import build_profiles
 from repro.worldgen.providers import PROVIDERS
-from repro.worldgen.history import (
-    STYLE_LOCAL,
-    STYLE_PRIVATE,
-    STYLE_PROVIDER,
-    HistoryBuilder,
-)
+from repro.worldgen.history import HistoryBuilder
 
 
 @pytest.fixture(scope="module")

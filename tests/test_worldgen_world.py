@@ -8,7 +8,7 @@ rests on.
 import pytest
 
 from repro.dns import DnsName, Resolver, ResolverCache, RRType
-from repro.worldgen.faults import Consistency, DefectMode
+from repro.worldgen.faults import DefectMode
 from repro.worldgen.generator import TargetStatus
 
 N = DnsName.parse
