@@ -39,6 +39,7 @@ from ..dns.name import DnsName
 from ..pdns.change import ChangeSensor, CountryFeed, SensorNoise
 from ..worldgen.churn import ChurnPlan, advance_world
 from .dataset import MeasurementDataset
+from .journal import dataset_row
 from .longitudinal import LongitudinalDataset
 from .probe import ProbeConfig
 from .shard import CampaignCounters, government_suffixes, run_campaign
@@ -298,7 +299,9 @@ class EpochRunner:
                 iso2 = self._targets[domain]
                 if iso2 in dead_set:
                     continue  # cohort already fully re-probed
-                if not self._dataset.matches(domain, dataset.results[domain]):
+                if not self._dataset.matches(
+                    domain, dataset_row(dataset, domain)
+                ):
                     # The sensor reported healthy volume for this
                     # cohort yet missed a real change: nothing else it
                     # said about the cohort can be trusted this epoch.

@@ -247,6 +247,14 @@ def dataset_rows(dataset: MeasurementDataset) -> Iterator[Tuple[DnsName, bytes]]
         yield domain, result_row(results[domain])
 
 
+def dataset_row(dataset: MeasurementDataset, domain: DnsName) -> bytes:
+    """One domain's canonical row, the way :func:`dataset_rows` gives
+    it: stored if the dataset is row-backed, else serialized."""
+    if dataset.rows is not None:
+        return dataset.rows[domain]
+    return result_row(dataset.results[domain])
+
+
 def digest_rows(rows: Iterable[bytes]) -> str:
     """sha256 of the JSON array of ``rows``, fed one row at a time.
 

@@ -41,7 +41,7 @@ from typing import Dict, List, Tuple
 
 from ..dns.name import DnsName
 from .dataset import DatasetColumns, MeasurementDataset, ProbeResult
-from .journal import dataset_rows, digest_rows, result_row
+from .journal import dataset_rows, digest_rows, result_from_row
 
 __all__ = ["EpochDelta", "LongitudinalDataset"]
 
@@ -109,9 +109,9 @@ class LongitudinalDataset:
         """The epoch whose probe produced the domain's current row."""
         return self._origin[domain]
 
-    def matches(self, domain: DnsName, result: ProbeResult) -> bool:
-        """Does ``result`` serialize to the domain's current row?"""
-        return result_row(result) == self._rows[domain]
+    def matches(self, domain: DnsName, row: bytes) -> bool:
+        """Is ``row`` the domain's current canonical row?"""
+        return row == self._rows[domain]
 
     def epoch_digest(self, epoch: int) -> str:
         if not 0 <= epoch < self.epochs:
@@ -133,27 +133,37 @@ class LongitudinalDataset:
         serialization matches the carried-forward version are dropped
         (no new version, attribution preserved).  Domains outside the
         base universe are a pipeline bug and raise — the longitudinal
-        contract is a fixed universe.
+        contract is a fixed universe.  Of a row-backed ``probed``, only
+        the changed rows are decoded.
         """
         epoch = self.epochs
-        outside = sorted(d for d in probed.results if d not in self._rows)
+        order: List[DnsName] = []
+        outside: List[DnsName] = []
+        fresh: List[Tuple[DnsName, bytes]] = []
+        for domain, row in dataset_rows(probed):
+            order.append(domain)
+            current = self._rows.get(domain)
+            if current is None:
+                outside.append(domain)
+            elif row != current:
+                fresh.append((domain, row))
         if outside:
             # Checked before any state moves: a rejected batch leaves
             # the chain exactly as it was.
             raise ValueError(
-                f"epoch {epoch}: domain {outside[0]} is not in the base "
+                f"epoch {epoch}: domain {min(outside)} is not in the base "
                 "universe; longitudinal campaigns have a fixed "
                 "target list"
             )
         changed: Dict[DnsName, ProbeResult] = {}
         changed_rows: List[bytes] = []
         responsive_changed: List[DnsName] = []
-        order: List[DnsName] = []
-        for domain, row in dataset_rows(probed):
-            order.append(domain)
-            if row == self._rows[domain]:
-                continue
-            result = probed.results[domain]
+        for domain, row in fresh:
+            result = (
+                probed.results[domain]
+                if probed.rows is None
+                else result_from_row(row)
+            )
             changed[domain] = result
             changed_rows.append(row)
             if result.responsive != self._latest[domain].responsive:

@@ -20,7 +20,7 @@ from .errors import (
 from .message import Message, Question, Rcode, make_query, make_response
 from .name import ROOT, DnsName, parse_cached
 from .rdata import AAAA, CNAME, MX, NS, PTR, RRType, SOA, TXT, A, Rdata
-from .resolver import Resolution, Resolver, TraceStep
+from .resolver import Resolution, Resolver
 from .rrset import RRset
 from .server import AuthoritativeServer, MissBehavior, ParkingServer
 from .zone import LookupResult, LookupStatus, Zone
@@ -58,7 +58,6 @@ __all__ = [
     "Rdata",
     "Resolution",
     "Resolver",
-    "TraceStep",
     "RRset",
     "AuthoritativeServer",
     "MissBehavior",

@@ -8,8 +8,9 @@ The probe pipeline needs two capabilities:
    servers, and turning nameserver hostnames into IPv4 addresses) —
    :meth:`Resolver.resolve`.
 
-Both record a trace of every exchange so analyses can later classify
-failures (timeout vs refusal vs lame referral) without re-probing.
+A failed resolution keeps its dominant per-server outcome
+(:attr:`Resolution.failure_reason`), so callers can tell timeout from
+refusal from lame referral without re-probing.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .name import DnsName
 from .rdata import A, NS, RRType
 from .rrset import RRset
 
-__all__ = ["Resolver", "Resolution", "TraceStep", "ServerFailure"]
+__all__ = ["Resolver", "Resolution"]
 
 _MAX_REFERRALS = 24
 _MAX_CNAME_HOPS = 8
@@ -48,18 +49,6 @@ def _dominant_failure(outcomes: Sequence[str]) -> str:
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    """One client↔server exchange in a resolution."""
-
-    server: IPv4Address
-    qname: DnsName
-    qtype: str
-    outcome: str  # "answer" | "referral" | "nxdomain" | "nodata" |
-    #               "timeout" | "refused" | "servfail" | "upward" | "lame"
-    rcode: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class Resolution:
     """Final state of an iterative resolution.
 
@@ -75,7 +64,6 @@ class Resolution:
     qname: DnsName
     qtype: str
     answers: Tuple[RRset, ...] = ()
-    trace: Tuple[TraceStep, ...] = ()
     failure_reason: Optional[str] = None
     soa: Optional[RRset] = None
 
@@ -92,14 +80,6 @@ class Resolution:
                     assert isinstance(rdata, A)
                     found.append(rdata.address)
         return tuple(found)
-
-
-class ServerFailure(Exception):
-    """Internal: a single server did not usefully answer."""
-
-    def __init__(self, outcome: str) -> None:
-        super().__init__(outcome)
-        self.outcome = outcome
 
 
 class Resolver:
@@ -186,16 +166,14 @@ class Resolver:
     # ------------------------------------------------------------------
     def resolve(self, qname: DnsName, qtype: str) -> Resolution:
         """Resolve from the roots, following referrals and aliases."""
-        trace: List[TraceStep] = []
         self._negative_soa = None
         try:
-            answers, status = self._resolve_inner(qname, qtype, trace, depth=0)
+            answers, status = self._resolve_inner(qname, qtype, depth=0)
         except NoNameservers as exc:
             return Resolution(
                 status="servfail",
                 qname=qname,
                 qtype=qtype,
-                trace=tuple(trace),
                 failure_reason=exc.reason,
             )
         except ResolutionLoop:
@@ -203,7 +181,6 @@ class Resolver:
                 status="servfail",
                 qname=qname,
                 qtype=qtype,
-                trace=tuple(trace),
                 failure_reason="loop",
             )
         return Resolution(
@@ -211,7 +188,6 @@ class Resolver:
             qname=qname,
             qtype=qtype,
             answers=tuple(answers),
-            trace=tuple(trace),
             soa=(
                 self._negative_soa
                 if status in ("nxdomain", "nodata")
@@ -231,7 +207,6 @@ class Resolver:
         self,
         qname: DnsName,
         qtype: str,
-        trace: List[TraceStep],
         depth: int,
         cname_depth: int = 0,
     ) -> Tuple[List[RRset], str]:
@@ -260,7 +235,6 @@ class Resolver:
                         list(cut.glueless()),
                         qname,
                         qtype,
-                        trace,
                         depth,
                         cname_depth,
                     )
@@ -268,7 +242,7 @@ class Resolver:
                     self._zone_cuts.invalidate(cut.name)
 
         return self._resolve_from(
-            list(self._roots), [], qname, qtype, trace, depth, cname_depth
+            list(self._roots), [], qname, qtype, depth, cname_depth
         )
 
     def _resolve_from(
@@ -277,7 +251,6 @@ class Resolver:
         unresolved_ns: List[DnsName],
         qname: DnsName,
         qtype: str,
-        trace: List[TraceStep],
         depth: int,
         cname_depth: int,
     ) -> Tuple[List[RRset], str]:
@@ -286,12 +259,10 @@ class Resolver:
 
         for _ in range(_MAX_REFERRALS):
             response = self._try_servers(
-                candidates, unresolved_ns, qname, qtype, trace, depth
+                candidates, unresolved_ns, qname, qtype, depth
             )
 
             if response.rcode == Rcode.NXDOMAIN:
-                # The serving exchange is already in the trace; just
-                # settle the outcome.
                 self._negative_soa = response.authority_rrset(RRType.SOA)
                 if self._cache is not None:
                     self._cache.put_negative(qname, qtype)
@@ -314,7 +285,6 @@ class Resolver:
                     chased, status = self._resolve_inner(
                         target,
                         qtype,
-                        trace,
                         depth,
                         cname_depth=cname_depth + 1 + len(response.answers) // 2,
                     )
@@ -382,7 +352,6 @@ class Resolver:
         unresolved_ns: List[DnsName],
         qname: DnsName,
         qtype: str,
-        trace: List[TraceStep],
         depth: int,
     ) -> Message:
         """Query candidates in order until one answers usefully.
@@ -397,26 +366,22 @@ class Resolver:
         while queue or pending_ns:
             if not queue:
                 hostname = pending_ns.pop(0)
-                queue.extend(self._resolve_ns_host(hostname, trace, depth))
+                queue.extend(self._resolve_ns_host(hostname, depth))
                 continue
-            server = queue.pop(0)
-            try:
-                return self._exchange(server, qname, qtype, trace)
-            except ServerFailure as failure:
-                failures.append(failure.outcome)
-                continue
+            response, outcome = self._exchange(queue.pop(0), qname, qtype)
+            if response is not None:
+                return response
+            failures.append(outcome)
         raise NoNameservers(
             f"all nameservers failed for {qname} {qtype}",
             reason=_dominant_failure(failures),
         )
 
     def _resolve_ns_host(
-        self, hostname: DnsName, trace: List[TraceStep], depth: int
+        self, hostname: DnsName, depth: int
     ) -> List[IPv4Address]:
         try:
-            rrsets, status = self._resolve_inner(
-                hostname, RRType.A, trace, depth + 1
-            )
+            rrsets, status = self._resolve_inner(hostname, RRType.A, depth + 1)
         except (NoNameservers, ResolutionLoop):
             return []
         if status != "ok":
@@ -430,33 +395,24 @@ class Resolver:
         return addresses
 
     def _exchange(
-        self,
-        server: IPv4Address,
-        qname: DnsName,
-        qtype: str,
-        trace: List[TraceStep],
-    ) -> Message:
+        self, server: IPv4Address, qname: DnsName, qtype: str
+    ) -> Tuple[Optional[Message], str]:
+        """One server's verdict: ``(response, "answer" | "referral")``
+        when it answered usefully, else ``(None, outcome)`` with outcome
+        ``"timeout"``, ``"refused"``, ``"servfail"``, ``"upward"`` or
+        ``"lame"``."""
         response = self.query_at(server, qname, qtype)
         if response is None:
-            trace.append(TraceStep(server, qname, qtype, "timeout"))
-            raise ServerFailure("timeout")
-        if response.rcode == Rcode.REFUSED:
-            trace.append(TraceStep(server, qname, qtype, "refused", response.rcode))
-            raise ServerFailure("refused")
-        if response.rcode == Rcode.SERVFAIL:
-            trace.append(TraceStep(server, qname, qtype, "servfail", response.rcode))
-            raise ServerFailure("servfail")
+            return None, "timeout"
+        rcode = response.rcode
+        if rcode == Rcode.REFUSED:
+            return None, "refused"
+        if rcode == Rcode.SERVFAIL:
+            return None, "servfail"
+        if response.answers or response.aa:
+            return response, "answer"
+        if not response.is_referral:
+            return None, "lame"
         if response.is_upward_referral:
-            trace.append(TraceStep(server, qname, qtype, "upward", response.rcode))
-            raise ServerFailure("upward")
-        outcome = (
-            "answer"
-            if response.answers or response.aa
-            else "referral"
-            if response.is_referral
-            else "lame"
-        )
-        trace.append(TraceStep(server, qname, qtype, outcome, response.rcode))
-        if outcome == "lame":
-            raise ServerFailure("lame")
-        return response
+            return None, "upward"
+        return response, "referral"

@@ -31,6 +31,12 @@ Determinism contract: every decision is a pure function of (destination,
 simulated now, arrival order, schedule seed).  Two runs over the same
 world with the same schedule produce byte-identical datasets, which is
 what the CI chaos-smoke job asserts.
+
+Admission runs on every send, so it is kept to plain loops over ints:
+each window's targets are a frozenset of address values plus
+``(network, mask)`` prefix pairs, a window's time span is checked
+before its targets, and the two common verdicts (no fault, refuse only)
+are shared constants.  Nothing is memoized per destination.
 """
 
 from __future__ import annotations
@@ -71,32 +77,43 @@ ChaosTarget = Union[IPv4Address, IPv4Prefix]
 
 
 class _TargetSet:
-    """Membership test over a mixed set of addresses and prefixes."""
+    """Membership test over a mixed set of addresses and prefixes.
 
-    __slots__ = ("_addresses", "_prefixes")
+    Built once per fault window and probed on every send, so both
+    halves are plain ints: a frozenset of address values and a tuple of
+    ``(network, mask)`` pairs.
+    """
+
+    __slots__ = ("_values", "_prefixes")
 
     def __init__(self, targets: Iterable[ChaosTarget]) -> None:
-        addresses: List[IPv4Address] = []
-        prefixes: List[IPv4Prefix] = []
+        values: List[int] = []
+        prefixes: List[Tuple[int, int]] = []
         for target in targets:
             if isinstance(target, IPv4Address):
-                addresses.append(target)
+                values.append(target.value)
             elif isinstance(target, IPv4Prefix):
-                prefixes.append(target)
+                prefixes.append(
+                    (target.network, IPv4Prefix.mask_for(target.length))
+                )
             else:
                 raise TypeError(
                     f"chaos target must be IPv4Address or IPv4Prefix, "
                     f"got {target!r}"
                 )
-        if not addresses and not prefixes:
+        if not values and not prefixes:
             raise ValueError("chaos window needs at least one target")
-        self._addresses = frozenset(addresses)
+        self._values = frozenset(values)
         self._prefixes = tuple(prefixes)
 
     def matches(self, address: IPv4Address) -> bool:
-        if address in self._addresses:
+        value = address.value
+        if value in self._values:
             return True
-        return any(prefix.contains(address) for prefix in self._prefixes)
+        for network, mask in self._prefixes:
+            if value & mask == network:
+                return True
+        return False
 
 
 def _check_window(start: float, end: float) -> None:
@@ -207,6 +224,7 @@ class ChaosDecision(NamedTuple):
 
 
 _NULL_DECISION = ChaosDecision()
+_REFUSE_DECISION = ChaosDecision(refuse=True)
 
 
 class ChaosStats:
@@ -306,7 +324,10 @@ class FaultSchedule:
     # ------------------------------------------------------------------
     def in_outage(self, destination: IPv4Address, now: float) -> bool:
         """Pure outage predicate (shared by the live and replay paths)."""
-        return any(w.active(destination, now) for w in self._outages)
+        for window in self._outages:
+            if window.active(destination, now):
+                return True
+        return False
 
     def admit(self, destination: IPv4Address, now: float) -> ChaosDecision:
         """Decide the fate of one datagram on the live path.
@@ -333,8 +354,8 @@ class FaultSchedule:
                 extra += brownout.extra_seconds
         if extra:
             self.stats.brownout_hits += 1
-        if not (refuse or loss_rate or extra):
-            return _NULL_DECISION
+        if not (loss_rate or extra):
+            return _REFUSE_DECISION if refuse else _NULL_DECISION
         return ChaosDecision(
             refuse=refuse, loss_rate=loss_rate, extra_latency=extra
         )

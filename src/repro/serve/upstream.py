@@ -27,12 +27,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..dns.message import Message
 from ..dns.name import DnsName
-from ..dns.resolver import (
-    Resolver,
-    ServerFailure,
-    TraceStep,
-    _dominant_failure,
-)
+from ..dns.resolver import Resolver, _dominant_failure
 from ..dns.errors import NoNameservers
 from ..inet.address import IPv4Address
 from ..inet.clock import SimulatedClock
@@ -72,11 +67,14 @@ class UpstreamHealth:
         """Deduplicated candidates, fastest believed server first.
 
         The tiebreak on the address value keeps the order a pure
-        function of the health book, not of arrival order.
+        function of the health book, not of arrival order.  Keying on
+        the address's int orders exactly as the address itself does.
         """
+        srtt = self._srtt.get
+        default = self._default_srtt
         return sorted(
             dict.fromkeys(candidates),
-            key=lambda address: (self.srtt(address), address),
+            key=lambda address: (srtt(address, default), address.value),
         )
 
     def admit(self, address: IPv4Address) -> bool:
@@ -126,38 +124,32 @@ class HealthAwareResolver(Resolver):
         unresolved_ns: List[DnsName],
         qname: DnsName,
         qtype: str,
-        trace: List[TraceStep],
         depth: int,
     ) -> Message:
         pending_ns = list(unresolved_ns)
         queue = self._health.order(candidates)
         failures: List[str] = []
         skipped = 0
+        clock = self._network.clock
         while queue or pending_ns:
             if not queue:
                 hostname = pending_ns.pop(0)
                 queue = self._health.order(
-                    self._resolve_ns_host(hostname, trace, depth)
+                    self._resolve_ns_host(hostname, depth)
                 )
                 continue
             server = queue.pop(0)
             if not self._health.admit(server):
                 skipped += 1
                 continue
-            before = self._network.clock.now
-            try:
-                response = self._exchange(server, qname, qtype, trace)
-            except ServerFailure as failure:
-                self._health.observe(
-                    server,
-                    None
-                    if failure.outcome == "timeout"
-                    else self._network.clock.now - before,
-                )
-                failures.append(failure.outcome)
-                continue
-            self._health.observe(server, self._network.clock.now - before)
-            return response
+            before = clock.now
+            response, outcome = self._exchange(server, qname, qtype)
+            self._health.observe(
+                server, None if outcome == "timeout" else clock.now - before
+            )
+            if response is not None:
+                return response
+            failures.append(outcome)
         if not failures and skipped:
             # Every candidate was breaker-blocked; the open circuits were
             # tripped by silence, so surface the exhaustion as timeouts.

@@ -14,6 +14,11 @@ domains would see from a national client population:
   NXDOMAIN typos (``missing-<k>.<domain>``) and apex-A NODATA lookups,
   so both RFC 2308 negative-cache paths see realistic traffic.
 
+Generation is one pass over one-second steps.  Per-country constants
+(base rate, diurnal phase, storm windows) are computed once, the
+diurnal angle once per step, and the per-(step, country) arrival count
+comes from Knuth's Poisson sampler, inlined.
+
 Determinism contract: :meth:`ClientWorkload.generate` is a pure
 function of (target set, config, seed).  Targets are canonicalized
 (sorted, deduplicated) before any RNG draw, so caller ordering and
@@ -103,20 +108,6 @@ class WorkloadConfig:
             )
 
 
-def _poisson(rng: random.Random, lam: float) -> int:
-    """Knuth's Poisson sampler (rates here stay tiny per step)."""
-    if lam <= 0.0:
-        return 0
-    limit = math.exp(-lam)
-    count = 0
-    product = 1.0
-    while True:
-        product *= rng.random()
-        if product <= limit:
-            return count
-        count += 1
-
-
 def targets_from_world(world) -> List[Tuple[DnsName, str]]:
     """(domain, iso2) pairs for every ground-truth target, sorted."""
     return sorted((truth.name, truth.iso2) for truth in world.truths.values())
@@ -181,23 +172,42 @@ class ClientWorkload:
             )
             iso2 = self._countries[rng.randrange(len(self._countries))]
             storms.append((begin, begin + cfg.storm_duration, iso2))
-        phases = {
-            iso2: (2.0 * math.pi * index) / len(self._countries)
+        # Everything that does not vary with the step is hoisted: each
+        # country's base rate, diurnal phase and storm windows.
+        countries = [
+            (
+                iso2,
+                cfg.mean_qps * self._country_share[iso2],
+                (2.0 * math.pi * index) / len(self._countries),
+                tuple(
+                    (begin, end)
+                    for begin, end, storm_iso2 in storms
+                    if storm_iso2 == iso2
+                ),
+            )
             for index, iso2 in enumerate(self._countries)
-        }
+        ]
+        amplitude = cfg.diurnal_amplitude
+        draw = rng.random
         queries: List[ClientQuery] = []
         for step in range(int(math.ceil(cfg.duration))):
             t = float(step)
-            for iso2 in self._countries:
-                rate = cfg.mean_qps * self._country_share[iso2]
-                angle = 2.0 * math.pi * ((t % _DAY_SECONDS) / _DAY_SECONDS)
-                rate *= 1.0 + cfg.diurnal_amplitude * math.sin(
-                    angle + phases[iso2]
-                )
-                for begin, end, storm_iso2 in storms:
-                    if storm_iso2 == iso2 and begin <= t < end:
+            angle = 2.0 * math.pi * ((t % _DAY_SECONDS) / _DAY_SECONDS)
+            for iso2, base, phase, windows in countries:
+                rate = base * (1.0 + amplitude * math.sin(angle + phase))
+                for begin, end in windows:
+                    if begin <= t < end:
                         rate *= cfg.storm_multiplier
-                for _ in range(_poisson(rng, rate)):
+                # Knuth's Poisson sampler (rates here stay tiny per step,
+                # and are always positive: amplitude < 1).  All of this
+                # step's draws come before any arrival's own draws.
+                limit = math.exp(-rate)
+                arrivals = 0
+                product = draw()
+                while product > limit:
+                    arrivals += 1
+                    product *= draw()
+                for _ in range(arrivals):
                     offset = t + rng.random()
                     domain = self._pick_domain(iso2, rng)
                     mix = rng.random()

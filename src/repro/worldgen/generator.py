@@ -420,7 +420,6 @@ class WorldGenerator:
                 countries_2020=0,
                 home_country=profile.iso2,
                 asn_count=1,
-                layout_weights=(0.1, 0.5, 0.4, 0.0),
             )
             planner = self._new_planner([(spec.display, profile.iso2)])
             instance = ProviderInstance(

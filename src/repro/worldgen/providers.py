@@ -55,8 +55,6 @@ class ProviderSpec:
     countries_2020: int
     home_country: str = "US"
     asn_count: int = 1
-    # Distribution over NsLayout categories for the provider's sets.
-    layout_weights: Tuple[float, float, float, float] = (0.0, 0.1, 0.6, 0.3)
     # ISO2 codes this provider is effectively restricted to (e.g. the
     # Chinese registrar-hosters); empty means global.
     restricted_to: Tuple[str, ...] = ()
@@ -121,7 +119,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             countries_2011=3,
             countries_2020=67,
             asn_count=4,
-            layout_weights=(0.0, 0.0, 0.2, 0.8),
         ),
         ProviderSpec(
             key="azure",
@@ -140,7 +137,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             countries_2011=0,
             countries_2020=37,
             asn_count=2,
-            layout_weights=(0.0, 0.0, 0.3, 0.7),
         ),
         ProviderSpec(
             key="cloudflare",
@@ -156,7 +152,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             countries_2011=9,
             countries_2020=85,
             asn_count=1,
-            layout_weights=(0.0, 0.05, 0.95, 0.0),
         ),
         ProviderSpec(
             key="dnspod",
@@ -172,7 +167,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             countries_2020=2,
             home_country="CN",
             restricted_to=("CN",),
-            layout_weights=(0.0, 0.2, 0.7, 0.1),
             growth="linear",
         ),
         ProviderSpec(
@@ -185,7 +179,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             domains_2020=254,
             countries_2011=25,
             countries_2020=34,
-            layout_weights=(0.0, 0.1, 0.7, 0.2),
             growth="linear",
         ),
         ProviderSpec(
@@ -198,7 +191,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             domains_2020=170,
             countries_2011=3,
             countries_2020=22,
-            layout_weights=(0.0, 0.05, 0.75, 0.2),
         ),
         ProviderSpec(
             key="godaddy",
@@ -210,7 +202,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             domains_2020=1582,
             countries_2011=47,
             countries_2020=63,
-            layout_weights=(0.0, 0.1, 0.8, 0.1),
             growth="linear",
         ),
         ProviderSpec(
@@ -223,7 +214,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             domains_2020=66,
             countries_2011=7,
             countries_2020=11,
-            layout_weights=(0.0, 0.05, 0.65, 0.3),
             growth="linear",
         ),
         # ---- Table III shared hosts / registrars ----------------------
@@ -237,7 +227,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             domains_2020=745,
             countries_2011=52,
             countries_2020=50,
-            layout_weights=(0.1, 0.5, 0.4, 0.0),
             growth="linear",
         ),
         ProviderSpec(
@@ -250,7 +239,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             domains_2020=110,
             countries_2011=32,
             countries_2020=18,
-            layout_weights=(0.05, 0.35, 0.6, 0.0),
             growth="decline",
         ),
         ProviderSpec(
@@ -263,7 +251,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             domains_2020=180,
             countries_2011=29,
             countries_2020=22,
-            layout_weights=(0.05, 0.35, 0.6, 0.0),
             growth="decline",
         ),
         ProviderSpec(
@@ -276,7 +263,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             domains_2020=432,
             countries_2011=29,
             countries_2020=58,
-            layout_weights=(0.1, 0.5, 0.4, 0.0),
             growth="linear",
         ),
         ProviderSpec(
@@ -292,7 +278,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             domains_2020=1536,
             countries_2011=29,
             countries_2020=55,
-            layout_weights=(0.1, 0.5, 0.4, 0.0),
         ),
         ProviderSpec(
             key="ixwebhosting",
@@ -304,7 +289,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             domains_2020=25,
             countries_2011=28,
             countries_2020=8,
-            layout_weights=(0.15, 0.55, 0.3, 0.0),
             growth="decline",
         ),
         ProviderSpec(
@@ -317,7 +301,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             domains_2020=55,
             countries_2011=27,
             countries_2020=14,
-            layout_weights=(0.15, 0.55, 0.3, 0.0),
             growth="decline",
         ),
         ProviderSpec(
@@ -330,7 +313,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             domains_2020=0,
             countries_2011=26,
             countries_2020=0,
-            layout_weights=(0.0, 0.2, 0.8, 0.0),
             growth="decline",
         ),
         ProviderSpec(
@@ -343,7 +325,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             domains_2020=15,
             countries_2011=24,
             countries_2020=7,
-            layout_weights=(0.05, 0.35, 0.6, 0.0),
             growth="decline",
         ),
         ProviderSpec(
@@ -356,7 +337,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             domains_2020=35,
             countries_2011=22,
             countries_2020=12,
-            layout_weights=(0.05, 0.4, 0.55, 0.0),
             growth="decline",
         ),
         ProviderSpec(
@@ -369,7 +349,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             domains_2020=429,
             countries_2011=0,
             countries_2020=45,
-            layout_weights=(0.0, 0.1, 0.7, 0.2),
         ),
         ProviderSpec(
             key="microsoftonline",
@@ -381,7 +360,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             domains_2020=135,
             countries_2011=0,
             countries_2020=41,
-            layout_weights=(0.0, 0.1, 0.7, 0.2),
         ),
         ProviderSpec(
             key="wixdns",
@@ -393,7 +371,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             domains_2020=324,
             countries_2011=0,
             countries_2020=36,
-            layout_weights=(0.0, 0.15, 0.85, 0.0),
         ),
         ProviderSpec(
             key="cloudns",
@@ -405,7 +382,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             domains_2020=225,
             countries_2011=0,
             countries_2020=36,
-            layout_weights=(0.0, 0.1, 0.7, 0.2),
         ),
         # ---- Chinese registrar-hosters (dominate gov.cn) --------------
         ProviderSpec(
@@ -421,7 +397,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             home_country="CN",
             restricted_to=("CN",),
             asn_count=2,
-            layout_weights=(0.0, 0.1, 0.4, 0.5),
         ),
         ProviderSpec(
             key="xincache",
@@ -436,7 +411,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             home_country="CN",
             restricted_to=("CN",),
             asn_count=2,
-            layout_weights=(0.0, 0.15, 0.45, 0.4),
         ),
         ProviderSpec(
             key="dns-diy",
@@ -450,7 +424,6 @@ def _catalog() -> Tuple[ProviderSpec, ...]:
             countries_2020=1,
             home_country="CN",
             restricted_to=("CN",),
-            layout_weights=(0.0, 0.2, 0.5, 0.3),
         ),
     )
 

@@ -19,6 +19,7 @@ import os
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import journal, longitudinal
 from repro.core.dataset import DatasetColumns, MeasurementDataset
 from repro.core.epoch import EpochRunner
 from repro.core.journal import dataset_digest, result_to_dict
@@ -583,6 +584,34 @@ class TestLongitudinalCli:
 # ----------------------------------------------------------------------
 # The headline property: as_of(k) == full campaign at epoch k, any K
 # ----------------------------------------------------------------------
+class TestShardedEpochDecodes:
+    def test_only_base_and_changed_rows_are_decoded(self, runner, monkeypatch):
+        # A sharded epoch's dataset is its workers' rows: the audit
+        # compares rows, and append_epoch decodes just the changed ones.
+        decoded = []
+        real = journal.result_from_row
+
+        def counting(row):
+            decoded.append(row)
+            return real(row)
+
+        monkeypatch.setattr(journal, "result_from_row", counting)
+        monkeypatch.setattr(longitudinal, "result_from_row", counting)
+        sharded = EpochRunner(fresh_world(), shards=2)
+        stats = sharded.run(2)
+        base, first, second = stats
+        assert len(decoded) == base.probed + first.changed + second.changed
+        assert len(decoded) == 716 + 17 + 19
+        assert first.probed + second.probed > first.changed + second.changed
+        for epoch in range(3):
+            assert sharded.dataset.epoch_digest(
+                epoch
+            ) == runner.dataset.epoch_digest(epoch)
+            assert sharded.dataset.chain_digest(
+                epoch
+            ) == runner.dataset.chain_digest(epoch)
+
+
 class TestLongitudinalInvariance:
     """Seeds {5, 7, 11} × epochs 0..3 × {inline, K=1, K=4} runners."""
 

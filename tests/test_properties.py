@@ -20,10 +20,12 @@ from repro.dns.name import DnsName
 from repro.dns.rdata import NS, RRType
 from repro.dns.rrset import RRset
 from repro.dns.zone import LookupStatus, Zone
-from repro.inet.address import IPv4Address
-from repro.inet.clock import SECONDS_PER_DAY, year_bounds
+from repro.inet.address import IPv4Address, IPv4Prefix
+from repro.inet.clock import SECONDS_PER_DAY, SimulatedClock, year_bounds
+from repro.net.chaos import _TargetSet
 from repro.pdns.database import PdnsDatabase
 from repro.registry.registrar import PriceModel
+from repro.serve.upstream import UpstreamHealth
 from tests.digest_reference import one_blob_digest
 from tests.ns_daily_reference import (
     daily_count_durations,
@@ -255,6 +257,66 @@ class TestRRsetProperties:
         a = RRset(owner, RRType.NS, 300, tuple(rdatas))
         b = RRset(owner, RRType.NS, 300, tuple(shuffled))
         assert a == b and hash(a) == hash(b)
+
+
+# Serving-path kernels against the expressions they replaced.
+IPV4 = st.integers(min_value=0, max_value=0xFFFFFFFF)
+CIDR = st.builds(
+    lambda value, length: IPv4Prefix(
+        value & IPv4Prefix.mask_for(length), length
+    ),
+    IPV4,
+    st.integers(min_value=0, max_value=32),
+)
+
+
+class TestServingKernelProperties:
+    @given(
+        st.lists(IPV4.map(IPv4Address), max_size=6),
+        st.lists(CIDR, max_size=4),
+        st.lists(IPV4.map(IPv4Address), max_size=8),
+    )
+    def test_target_set_matches_reference(self, addresses, prefixes, probes):
+        if not addresses and not prefixes:
+            return
+        targets = _TargetSet(list(addresses) + list(prefixes))
+        # Random probes rarely land in a long prefix, so also probe each
+        # prefix's edges and the addresses just outside them.
+        edges = [
+            IPv4Address(value)
+            for prefix in prefixes
+            for value in (
+                prefix.network - 1,
+                prefix.network,
+                prefix.network + prefix.size - 1,
+                prefix.network + prefix.size,
+            )
+            if 0 <= value <= 0xFFFFFFFF
+        ]
+        for address in list(probes) + list(addresses) + edges:
+            expected = address in frozenset(addresses) or any(
+                prefix.contains(address) for prefix in prefixes
+            )
+            assert targets.matches(address) == expected
+
+    @given(st.data())
+    def test_health_order_matches_reference(self, data):
+        pool = data.draw(
+            st.lists(IPV4.map(IPv4Address), min_size=1, max_size=8, unique=True)
+        )
+        health = UpstreamHealth(SimulatedClock(now=0.0))
+        # A few distinct RTTs, silence (the timeout SRTT) and never-seen
+        # addresses (the default SRTT) make ties common.
+        for address in pool:
+            for rtt in data.draw(
+                st.lists(st.sampled_from((None, 0.05, 0.25, 3.0)), max_size=3)
+            ):
+                health.observe(address, rtt)
+        candidates = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+        assert health.order(candidates) == sorted(
+            dict.fromkeys(candidates),
+            key=lambda address: (health.srtt(address), address),
+        )
 
 
 # Generated probe results for the streamed dataset digest.  ``iso2`` is

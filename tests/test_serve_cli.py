@@ -87,6 +87,18 @@ class TestServeCommand:
             "failed",
         }
 
+    def test_mixed_profile_digest_is_pinned(self):
+        # The CI serve-smoke run: a change that moves the serving path
+        # moves this digest, even when it moves it the same way twice.
+        code, text = run_cli(
+            SMALL + ["serve", "--chaos", "mixed", "--duration", "300"]
+        )
+        assert code == 0
+        assert digest_line(text) == (
+            "serving-digest: "
+            "656e85b35f1581c7b20030fe95e482238bc0d882a7cdcef901f1e5989f5f8c4e"
+        )
+
     def test_run_to_run_deterministic(self):
         first = run_cli(SMALL + SHORT + ["--chaos", "outage"])
         second = run_cli(SMALL + SHORT + ["--chaos", "outage"])

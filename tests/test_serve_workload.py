@@ -88,6 +88,20 @@ class TestWorkloadDeterminism:
         second = ClientWorkload(TARGETS, SMALL, seed=6).generate()
         assert workload_digest(first) != workload_digest(second)
 
+    def test_world_stream_is_pinned(self, world):
+        # The stream `repro --scale 0.004 --seed 7 serve --duration 300`
+        # serves: any change to the draws or their float arithmetic
+        # moves this digest.
+        stream = ClientWorkload(
+            targets_from_world(world),
+            WorkloadConfig(duration=300, mean_qps=20),
+            seed=7,
+        ).generate()
+        assert len(stream) == 6401
+        assert workload_digest(stream) == (
+            "4c401602ca67dcba4b45745ca9c08cce7ee94f33ede2b34e287b0c4dc39ea814"
+        )
+
     def test_caller_ordering_and_duplicates_are_canonicalized(self):
         baseline = ClientWorkload(TARGETS, SMALL, seed=5).generate()
         shuffled = ClientWorkload(
