@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core.study import GovernmentDnsStudy
 from .lint import cli as lint_cli
@@ -53,6 +53,26 @@ def _parse_shards(value: str) -> int:
     if shards < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {shards}")
     return shards
+
+
+def _at_least(minimum: int) -> Callable[[str], int]:
+    """argparse ``type=`` for an integer count of at least ``minimum``,
+    so a count that would make a gate vacuous is a usage error."""
+
+    def parse(value: str) -> int:
+        try:
+            count = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer, got {value!r}"
+            ) from None
+        if count < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {count}"
+            )
+        return count
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--kill-at-event",
-        type=int,
+        type=_at_least(1),
         default=None,
         metavar="N",
         help="abort after N scheduler events (kill-at-event harness)",
@@ -316,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     longitudinal.add_argument(
         "--epochs",
-        type=int,
+        type=_at_least(0),
         default=3,
         metavar="N",
         help="churn epochs to run after the bootstrap (default: 3)",

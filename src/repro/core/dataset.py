@@ -78,16 +78,15 @@ class ServerOutcome:
     UPWARD = "upward"      # upward referral (classic lame signature)
     LAME = "lame"          # some other non-authoritative response
     TIMEOUT = "timeout"
-    BREAKER_OPEN = "breaker_open"  # probe skipped: circuit breaker open
 
     # Outcomes that constitute "answering queries for the zone".
     AUTHORITATIVE = frozenset({ANSWER, NODATA})
 
-    # Outcomes that prove only that *we* observed silence (or declined
-    # to probe) — not that the server is misconfigured.  A defect
-    # verdict resting solely on these is transient-failure-shaped and
-    # gets "provisional" confidence until a second round confirms it.
-    SOFT_FAILURES = frozenset({TIMEOUT, BREAKER_OPEN})
+    # Outcomes that prove only that *we* observed silence — not that
+    # the server is misconfigured.  A defect verdict resting solely on
+    # these is transient-failure-shaped and gets "provisional"
+    # confidence until a second round confirms it.
+    SOFT_FAILURES = frozenset({TIMEOUT})
 
 
 @dataclass
@@ -102,8 +101,8 @@ class ServerProbe:
         default_factory=dict
     )
     # Round-one verdicts that the retry round cleared before
-    # re-querying (TIMEOUT / SERVFAIL / BREAKER_OPEN).  Empty unless the
-    # domain was retried and this server had transient-shaped failures.
+    # re-querying (TIMEOUT / SERVFAIL).  Empty unless the domain was
+    # retried and this server had transient-shaped failures.
     prior_outcomes: Dict[IPv4Address, str] = field(default_factory=dict)
 
     @property
@@ -130,10 +129,9 @@ class ServerProbe:
             on soft failure observed in *both* measurement rounds — a
             persistently dead server, the paper's Figure-8 category.
         ``"provisional"``
-            The only evidence is single-round soft failure (timeout or
-            a breaker-skipped probe): indistinguishable from a
-            transient outage, so defect prevalence built on it is an
-            upper bound.  Meaningless when :attr:`defective` is False.
+            The only evidence is single-round soft failure (a
+            timeout): indistinguishable from a transient outage, so
+            defect prevalence built on it is an upper bound.  Meaningless when :attr:`defective` is False.
         """
         if not self.resolvable:
             return "confirmed"

@@ -58,21 +58,13 @@ _CHAOS_MASKED = "chaos-masked"
 _TRANSIENT = "transient-loss"
 _UNEXPLAINED = "unexplained"
 
-# Outcomes a chaos layer can manufacture: silence (timeout / an opened
-# breaker downstream of it) and rate-limit refusals.  SERVFAIL, upward
-# referrals, and lame answers are configuration statements chaos never
-# injects, so they must match the static truth exactly.
-_SOFT_CHAOS = frozenset(
-    {
-        ServerOutcome.TIMEOUT,
-        ServerOutcome.BREAKER_OPEN,
-        ServerOutcome.REFUSED,
-    }
-)
+# Outcomes a chaos layer can manufacture: silence (timeout) and
+# rate-limit refusals.  SERVFAIL, upward referrals, and lame answers
+# are configuration statements chaos never injects, so they must match
+# the static truth exactly.
+_SOFT_CHAOS = frozenset({ServerOutcome.TIMEOUT, ServerOutcome.REFUSED})
 # Intrinsic packet loss can only produce silence.
-_SOFT_PLAIN = frozenset(
-    {ServerOutcome.TIMEOUT, ServerOutcome.BREAKER_OPEN}
-)
+_SOFT_PLAIN = frozenset({ServerOutcome.TIMEOUT})
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,6 @@ discrete-event scheduler (:mod:`repro.net.events`):
 from __future__ import annotations
 
 import gc
-import random
 from collections import deque
 from typing import (
     Any,
@@ -73,7 +72,6 @@ from ..dns.resolver import Resolver
 from ..inet.address import IPv4Address
 from ..net.events import PendingExchange
 from ..net.network import Network
-from ..net.resilience import BackoffPolicy, CircuitBreaker, ResilienceCounters
 from .dataset import (
     MeasurementDataset,
     ParentStatus,
@@ -84,24 +82,9 @@ from .dataset import (
 from .ethics import RateLimiter
 from .journal import CampaignJournal, campaign_digest
 
-__all__ = ["ActiveProber", "BREAKER_SKIPPED", "ProbeConfig"]
+__all__ = ["ActiveProber", "ProbeConfig"]
 
 _MAX_WALK = 16
-
-
-class _BreakerSkipped:
-    """Sentinel response for a query series the circuit breaker refused
-    to issue.  Flows through the task machinery in place of a reply so
-    the walk treats it as silence and the sweep records an explicit
-    ``BREAKER_OPEN`` outcome instead of a fabricated timeout."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "<breaker skipped>"
-
-
-BREAKER_SKIPPED = _BreakerSkipped()
 
 # Task protocol: a probe task is a generator that yields requests to the
 # campaign driver and is resumed with the request's result.
@@ -122,10 +105,6 @@ class ProbeConfig:
         rate_limit_qps: Optional[float] = 500.0,
         max_in_flight: int = 64,
         zone_cut_caching: bool = True,
-        backoff: Optional[BackoffPolicy] = None,
-        backoff_seed: int = 0,
-        breaker_threshold: Optional[int] = None,
-        breaker_cooldown: float = 900.0,
     ) -> None:
         if timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
@@ -145,15 +124,6 @@ class ProbeConfig:
             raise ValueError(
                 f"max_in_flight must be at least 1, got {max_in_flight}"
             )
-        if breaker_threshold is not None and breaker_threshold < 1:
-            raise ValueError(
-                f"breaker_threshold must be >= 1 or None, got "
-                f"{breaker_threshold}"
-            )
-        if breaker_cooldown <= 0:
-            raise ValueError(
-                f"breaker_cooldown must be positive, got {breaker_cooldown}"
-            )
         self.timeout = timeout
         self.retries = retries
         self.retry_round = retry_round
@@ -161,16 +131,9 @@ class ProbeConfig:
         self.rate_limit_qps = rate_limit_qps
         self.max_in_flight = max_in_flight
         self.zone_cut_caching = zone_cut_caching
-        # Resilience knobs; the defaults (no backoff policy, breaker
-        # disabled) reproduce the historical engine bit for bit.
-        self.backoff = backoff
-        self.backoff_seed = backoff_seed
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown = breaker_cooldown
 
     def identity(self) -> Dict[str, Any]:
         """JSON-able summary for the journal's campaign digest."""
-        backoff = self.backoff
         return {
             "timeout": self.timeout,
             "retries": self.retries,
@@ -179,12 +142,6 @@ class ProbeConfig:
             "rate_limit_qps": self.rate_limit_qps,
             "max_in_flight": self.max_in_flight,
             "zone_cut_caching": self.zone_cut_caching,
-            "backoff": None
-            if backoff is None
-            else [backoff.base, backoff.multiplier, backoff.cap, backoff.jitter],
-            "backoff_seed": self.backoff_seed,
-            "breaker_threshold": self.breaker_threshold,
-            "breaker_cooldown": self.breaker_cooldown,
         }
 
 
@@ -233,11 +190,10 @@ class _Series:
     retransmissions.
 
     The network holds the bound :meth:`complete` while an exchange is
-    pending and the scheduler holds :meth:`send` while a backoff waits;
-    nothing the series references points back at it, so a finished
-    series dies by refcount.  A retransmit closure and a completion
-    closure that name each other would instead make every series a
-    reference cycle, garbage only the cycle collector can free.
+    pending; nothing the series references points back at it, so a
+    finished series dies by refcount.  A retransmit closure and a
+    completion closure that name each other would instead make every
+    series a reference cycle, garbage only the cycle collector can free.
     """
 
     __slots__ = ("driver", "task", "address", "on_final", "attempts_left")
@@ -267,28 +223,15 @@ class _Series:
 
     def complete(self, exchange: PendingExchange) -> None:
         driver = self.driver
-        prober = driver._prober
         self.attempts_left -= 1
         if exchange.response is None and self.attempts_left > 0:
-            # Retransmit, reusing the already-built query message.
-            # With no backoff policy (the default) the retransmit
-            # happens at the timeout instant via a direct re-send —
-            # no extra scheduler event, bit-identical to the
-            # historical engine.
-            prober.resilience.retransmits += 1
-            delay = prober._backoff_delay(
-                driver._attempts - self.attempts_left
-            )
-            if delay > 0.0:
-                prober.resilience.backoff_wait_seconds += delay
-                driver._scheduler.schedule_in(delay, self.send)
-            else:
-                self.send()
+            # Retransmit at the timeout instant, reusing the
+            # already-built query message: a direct re-send, no extra
+            # scheduler event.
+            driver._prober.retransmits += 1
+            self.send()
             return
         address = self.address
-        breaker = prober._breaker
-        if breaker is not None:
-            breaker.record_outcome(address, exchange.response is not None)
         driver._in_flight -= 1
         driver._busy.discard(address)
         driver._wake_stalled(address)
@@ -469,24 +412,8 @@ class _CampaignDriver:
         on_final: Callable[[Optional[Message]], None],
     ) -> None:
         """Issue one query series (first attempt plus retransmissions)
-        and call ``on_final`` with the eventual response (or None).
-
-        A destination whose circuit breaker is open is not queried at
-        all: the series completes on the next event tick with the
-        :data:`BREAKER_SKIPPED` sentinel (no limiter charge, no query
-        counted — nothing was sent)."""
+        and call ``on_final`` with the eventual response (or None)."""
         prober = self._prober
-        breaker = prober._breaker
-        if breaker is not None and not breaker.allow(address):
-            prober.resilience.breaker_skipped_probes += 1
-            self._in_flight += 1
-
-            def skip() -> None:
-                self._in_flight -= 1
-                on_final(BREAKER_SKIPPED)
-
-            self._scheduler.schedule_in(0.0, skip)
-            return
         if prober._limiter is not None:
             prober._limiter.acquire()
         prober.queries_sent += 1
@@ -538,17 +465,6 @@ class ActiveProber:
         self._clock = network.clock
         self._source = source
         self._journal = journal
-        self._backoff_rng = random.Random(self.config.backoff_seed)
-        self._breaker = (
-            CircuitBreaker(
-                self._clock,
-                threshold=self.config.breaker_threshold,
-                cooldown=self.config.breaker_cooldown,
-            )
-            if self.config.breaker_threshold is not None
-            else None
-        )
-        self.resilience = ResilienceCounters()
         self._cache = ResolverCache(self._clock)
         self._zone_cuts = (
             ZoneCutCache(self._clock)
@@ -563,8 +479,6 @@ class ActiveProber:
             timeout=self.config.timeout,
             retries=self.config.retries,
             zone_cuts=self._zone_cuts,
-            backoff=self.config.backoff,
-            backoff_rng=self._backoff_rng,
         )
         self._limiter = (
             RateLimiter(self._clock, queries_per_second=self.config.rate_limit_qps)
@@ -573,22 +487,7 @@ class ActiveProber:
         )
         self.queries_sent = 0
         self.warm_queries = 0
-
-    @property
-    def breaker(self) -> Optional[CircuitBreaker]:
-        """The per-destination circuit breaker (None when disabled)."""
-        return self._breaker
-
-    def _backoff_delay(self, completed_attempts: int) -> float:
-        """Seconds to wait before the next retransmission (0 = now).
-
-        The backoff RNG is separate from the network RNG, so jittered
-        retransmit spacing never perturbs loss/latency draws.
-        """
-        policy = self.config.backoff
-        if policy is None:
-            return 0.0
-        return policy.delay(completed_attempts, self._backoff_rng)
+        self.retransmits = 0
 
     @property
     def zone_cuts(self) -> Optional[ZoneCutCache]:
@@ -646,7 +545,7 @@ class ActiveProber:
                 address = queue.pop(0)
                 issued += 1
                 reply = yield ("query", address)
-                if reply is None or reply is BREAKER_SKIPPED:
+                if reply is None:
                     continue
                 if reply.rcode in (Rcode.REFUSED, Rcode.SERVFAIL):
                     continue
@@ -745,9 +644,6 @@ class ActiveProber:
         domain: DnsName,
         response: Optional[Message],
     ) -> None:
-        if response is BREAKER_SKIPPED:
-            probe.outcomes[address] = ServerOutcome.BREAKER_OPEN
-            return
         outcome = self._classify(response, domain)
         probe.outcomes[address] = outcome
         if outcome == ServerOutcome.ANSWER:
@@ -792,20 +688,14 @@ class ActiveProber:
         return result
 
     # Round-one verdicts the retry round clears before re-querying.
-    # TIMEOUT and BREAKER_OPEN are observations of *our* silence;
-    # SERVFAIL is the server reporting transient inability (an upstream
-    # outage, an expired zone transfer) — all three are
-    # transient-failure-shaped, unlike REFUSED/UPWARD/LAME, which are
-    # configuration statements a day does not change.  The cleared
-    # verdicts are preserved in ``prior_outcomes`` so the analyses can
-    # tell two-round silence (confirmed-dead) from one-round silence.
-    _RETRY_CLEARED = frozenset(
-        {
-            ServerOutcome.TIMEOUT,
-            ServerOutcome.SERVFAIL,
-            ServerOutcome.BREAKER_OPEN,
-        }
-    )
+    # TIMEOUT is an observation of *our* silence; SERVFAIL is the
+    # server reporting transient inability (an upstream outage, an
+    # expired zone transfer) — both are transient-failure-shaped,
+    # unlike REFUSED/UPWARD/LAME, which are configuration statements a
+    # day does not change.  The cleared verdicts are preserved in
+    # ``prior_outcomes`` so the analyses can tell two-round silence
+    # (confirmed-dead) from one-round silence.
+    _RETRY_CLEARED = frozenset({ServerOutcome.TIMEOUT, ServerOutcome.SERVFAIL})
 
     def _retry_task(self, result: ProbeResult) -> _ProbeTask:
         for server in result.servers.values():

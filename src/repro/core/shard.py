@@ -164,10 +164,6 @@ _SUMMED = (
     "timeouts",
     "simulated_seconds",
     "retransmits",
-    "backoff_wait_seconds",
-    "breaker_skipped_probes",
-    "breaker_trips",
-    "breaker_open_at_end",
     "journal_replayed_sends",
     "journal_recovered_results",
 )
@@ -194,12 +190,7 @@ class CampaignCounters:
     network_queries: int = 0
     timeouts: int = 0
     simulated_seconds: float = 0.0
-    # The prober's ResilienceCounters and its circuit breaker.
     retransmits: int = 0
-    backoff_wait_seconds: float = 0.0
-    breaker_skipped_probes: int = 0
-    breaker_trips: int = 0
-    breaker_open_at_end: int = 0
     chaos: Dict[str, int] = field(default_factory=dict)
     persistence: Dict[str, int] = field(default_factory=dict)
     # The checkpoint journal, when the campaign kept one.
@@ -330,8 +321,6 @@ def _run_inline(
     dataset = prober.probe_all(targets)
     persistence = Counter(result.failure_persistence for result in dataset)
     del persistence[None]  # nothing to classify
-    resilience = prober.resilience
-    breaker = prober.breaker
     chaos_delta = (
         {
             key: count - base_chaos[key]
@@ -347,13 +336,7 @@ def _run_inline(
         network_queries=network.stats.queries_sent - base_queries,
         timeouts=network.stats.timeouts - base_timeouts,
         simulated_seconds=world.clock.now - started_at,
-        retransmits=resilience.retransmits,
-        backoff_wait_seconds=resilience.backoff_wait_seconds,
-        breaker_skipped_probes=resilience.breaker_skipped_probes,
-        breaker_trips=breaker.trips if breaker is not None else 0,
-        breaker_open_at_end=(
-            breaker.open_count() if breaker is not None else 0
-        ),
+        retransmits=prober.retransmits,
         chaos=chaos_delta,
         persistence=dict(persistence),
     )

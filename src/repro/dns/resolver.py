@@ -15,12 +15,10 @@ refusal from lame referral without re-probing.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..inet.address import IPv4Address
-from ..inet.backoff import BackoffPolicy
 from ..inet.transport import QueryTimeout, QueryTransport
 from .cache import ResolverCache, ZoneCutCache
 from .errors import NoNameservers, ResolutionLoop
@@ -94,8 +92,6 @@ class Resolver:
         timeout: float = 3.0,
         retries: int = 1,
         zone_cuts: Optional[ZoneCutCache] = None,
-        backoff: Optional[BackoffPolicy] = None,
-        backoff_rng: Optional[random.Random] = None,
     ) -> None:
         if not root_addresses:
             raise ValueError("at least one root hint is required")
@@ -108,16 +104,6 @@ class Resolver:
         self._timeout = timeout
         self._retries = retries
         self._zone_cuts = zone_cuts
-        # Exponential spacing between retransmissions; None keeps the
-        # historical immediate retransmit.  The RNG (for jitter) is
-        # caller-supplied so the prober can share one seeded stream.
-        self._backoff = backoff
-        # The constant-seeded default only serves directly-constructed
-        # resolvers; every shard-worker path goes through ActiveProber,
-        # which always injects its own stream here.
-        self._backoff_rng = (
-            backoff_rng if backoff_rng is not None else random.Random(0)  # reprolint: disable=FLW102
-        )
         # Authority SOA from the most recent negative response in the
         # current resolution (keys the RFC 2308 negative TTL upstream).
         self._negative_soa: Optional[RRset] = None
@@ -137,7 +123,8 @@ class Resolver:
         qtype: str,
         retries: Optional[int] = None,
     ) -> Optional[Message]:
-        """Send one query (with retransmissions) to a specific address.
+        """Send one query (with immediate retransmissions) to a specific
+        address.
 
         Returns the response message, or ``None`` after all attempts time
         out — the caller decides what a silent server *means* (the heart
@@ -145,19 +132,12 @@ class Resolver:
         """
         attempts = 1 + (retries if retries is not None else self._retries)
         query = make_query(qname, qtype)
-        for attempt in range(1, attempts + 1):
+        for _ in range(attempts):
             try:
                 return self._network.query(
                     server, query, source=self._source, timeout=self._timeout
                 )
             except QueryTimeout:
-                if attempt < attempts and self._backoff is not None:
-                    # Exponential (jittered) spacing before the next
-                    # retransmission; blocking callers charge it to the
-                    # simulated clock directly.
-                    delay = self._backoff.delay(attempt, self._backoff_rng)
-                    if delay > 0.0:
-                        self._network.clock.advance(delay)
                 continue
         return None
 

@@ -1,10 +1,11 @@
 """Retransmission spacing policy.
 
-:class:`BackoffPolicy` is frozen configuration shared by the resolver's
-retransmission loop (:mod:`repro.dns.resolver`) and the prober's
-client-side resilience machinery (:mod:`repro.net.resilience`, which
-re-exports it).  Callers pass their own seeded :class:`random.Random`
-so jitter draws stay inside the caller's deterministic event order.
+:class:`BackoffPolicy` is frozen configuration for the serving layer's
+refresh-job retries (``ServeConfig.refresh_backoff`` in
+:mod:`repro.serve.service`).  Callers pass their own seeded
+:class:`random.Random` so jitter draws stay inside the caller's
+deterministic event order.  The prober does not use it: it
+retransmits at the timeout instant.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ class BackoffPolicy:
         min(cap, base * multiplier ** (attempt - 1)) * (1 + jitter * u)
 
     where ``u`` is drawn uniformly from ``[0, 1)`` on the caller's RNG.
-    ``base = 0`` reproduces the historical immediate retransmit.
+    ``base = 0`` means no wait.
     """
 
     base: float = 0.0

@@ -646,7 +646,7 @@ class RetryBackoffRule(Rule):
     * a fixed constant wait between attempts — synchronized retries
       re-arrive in lockstep, exactly what rate limiters punish.
 
-    :class:`repro.net.resilience.BackoffPolicy` is the sanctioned
+    :class:`repro.inet.backoff.BackoffPolicy` is the sanctioned
     spacing (exponential growth, seeded jitter, a cap); attempt bounds
     belong in ``ProbeConfig.retries``.  Only the loop's own level is
     inspected — nested loops and function definitions get their own

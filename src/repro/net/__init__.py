@@ -30,12 +30,7 @@ from .network import (
     NetworkStats,
     QueryTimeout,
 )
-from .resilience import (
-    BackoffPolicy,
-    BreakerState,
-    CircuitBreaker,
-    ResilienceCounters,
-)
+from .resilience import BreakerState, CircuitBreaker
 
 __all__ = [
     "BlockAllocator",
@@ -69,8 +64,6 @@ __all__ = [
     "NetworkError",
     "NetworkStats",
     "QueryTimeout",
-    "BackoffPolicy",
     "BreakerState",
     "CircuitBreaker",
-    "ResilienceCounters",
 ]

@@ -1,48 +1,28 @@
-"""Client-side resilience primitives: adaptive backoff and circuit
-breakers.
+"""Per-destination circuit breaker for the serving layer.
 
-The paper's pipeline absorbs transient failure with a blunt instrument —
-one retransmission plus a next-day retry round (§III-B).  Running the
-same methodology at production scale needs two finer-grained controls,
-both standard in large measurement systems (ZDNS keeps per-destination
-failure budgets for the same reason):
+:class:`CircuitBreaker` keeps per-destination failure accounting: after
+``threshold`` consecutive query-series timeouts the address is *open*
+(callers skip it) for ``cooldown`` simulated seconds, then *half-open*
+— one query is let through, and its outcome closes or re-opens the
+circuit.  The caching recursive service
+(:class:`~repro.serve.upstream.UpstreamHealth`) gates every upstream
+exchange through it, so a dead delegation fails fast instead of timing
+out once per client.
 
-:class:`BackoffPolicy`
-    Exponential spacing between retransmissions to the same address,
-    with seeded jitter so synchronized probes do not retransmit in
-    lockstep.  The policy object is frozen configuration; callers pass
-    their own seeded :class:`random.Random` so draws stay inside the
-    caller's deterministic event order.
-
-:class:`CircuitBreaker`
-    Per-destination failure accounting: after ``threshold`` consecutive
-    query-series timeouts the address is *open* (probes are skipped and
-    recorded as explicit ``BREAKER_OPEN`` outcomes, never silently
-    dropped) for ``cooldown`` simulated seconds, then *half-open* — one
-    probe is let through, and its outcome closes or re-opens the
-    circuit.  This is §III-D politeness made adaptive: dead
-    infrastructure is probed a bounded number of times per cool-down
-    instead of once per domain that lists it.
-
-Both are off by default everywhere; the serial golden dataset is only
-reachable when neither intervenes.
+The prober has no breaker: it keeps the paper's one immediate
+retransmission plus a next-day retry round (§III-B).  The serving
+layer spaces its refresh-job retries with
+:class:`~repro.inet.backoff.BackoffPolicy`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Set, Tuple
 
-from ..inet.backoff import BackoffPolicy
 from ..inet.address import IPv4Address
 from ..inet.clock import SimulatedClock
 
-__all__ = [
-    "BackoffPolicy",
-    "BreakerState",
-    "CircuitBreaker",
-    "ResilienceCounters",
-]
+__all__ = ["BreakerState", "CircuitBreaker"]
 
 
 class BreakerState:
@@ -143,19 +123,3 @@ class CircuitBreaker:
             for entry in self._entries.values()
             if entry.state != BreakerState.CLOSED
         )
-
-
-@dataclass
-class ResilienceCounters:
-    """Prober-side resilience bookkeeping surfaced by ``repro.report``."""
-
-    retransmits: int = 0
-    backoff_wait_seconds: float = 0.0
-    breaker_skipped_probes: int = 0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "retransmits": float(self.retransmits),
-            "backoff_wait_seconds": self.backoff_wait_seconds,
-            "breaker_skipped_probes": float(self.breaker_skipped_probes),
-        }

@@ -1,12 +1,11 @@
 """Resilience counters for a probe campaign.
 
 One small report answering "what did the failure machinery actually
-do?": how often the circuit breaker tripped and how many probes it
-skipped, how much retransmission backoff cost in simulated time, what
-the chaos schedule injected, how many exchanges a resumed campaign
-replayed from its journal, and how the campaign's unresponsive domains
-split into transient vs. persistent failures.  Every field comes from
-the campaign's counters, so the report reads nothing of the dataset.
+do?": how many retransmissions the prober sent, what the chaos
+schedule injected, how many exchanges a resumed campaign replayed from
+its journal, and how the campaign's unresponsive domains split into
+transient vs. persistent failures.  Every field comes from the
+campaign's counters, so the report reads nothing of the dataset.
 
 The JSON payload is the artifact the CI chaos-smoke job uploads; the
 text rendering backs ``repro campaign``'s summary output.
@@ -30,12 +29,8 @@ __all__ = ["ResilienceReport"]
 class ResilienceReport:
     """Aggregated resilience/chaos/journal counters for one campaign."""
 
-    # Prober-side adaptive behaviour
+    # Prober-side retransmissions
     retransmits: int = 0
-    backoff_wait_seconds: float = 0.0
-    breaker_trips: int = 0
-    breaker_skipped_probes: int = 0
-    breaker_open_at_end: int = 0
     # Chaos injection (zeros when no schedule was installed)
     chaos_profile: Optional[str] = None
     chaos: Dict[str, int] = field(default_factory=dict)
@@ -57,10 +52,6 @@ class ResilienceReport:
         folded across shards)."""
         return cls(
             retransmits=counters.retransmits,
-            backoff_wait_seconds=counters.backoff_wait_seconds,
-            breaker_trips=counters.breaker_trips,
-            breaker_skipped_probes=counters.breaker_skipped_probes,
-            breaker_open_at_end=counters.breaker_open_at_end,
             chaos_profile=chaos_profile,
             chaos=dict(counters.chaos),
             journaled=counters.journaled,
@@ -74,10 +65,6 @@ class ResilienceReport:
     def payload(self) -> Dict[str, Any]:
         return {
             "retransmits": self.retransmits,
-            "backoff_wait_seconds": self.backoff_wait_seconds,
-            "breaker_trips": self.breaker_trips,
-            "breaker_skipped_probes": self.breaker_skipped_probes,
-            "breaker_open_at_end": self.breaker_open_at_end,
             "chaos_profile": self.chaos_profile,
             "chaos": self.chaos,
             "journaled": self.journaled,
@@ -88,12 +75,7 @@ class ResilienceReport:
         }
 
     def render(self) -> str:
-        rows = [
-            ["retransmits", str(self.retransmits)],
-            ["backoff wait (sim s)", f"{self.backoff_wait_seconds:.3f}"],
-            ["breaker trips", str(self.breaker_trips)],
-            ["breaker-skipped probes", str(self.breaker_skipped_probes)],
-        ]
+        rows = [["retransmits", str(self.retransmits)]]
         if self.chaos_profile is not None:
             rows.append(["chaos profile", self.chaos_profile])
             for key in sorted(self.chaos):

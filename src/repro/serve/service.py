@@ -167,7 +167,6 @@ class RecursiveService:
             timeout=config.upstream_timeout,
             retries=config.upstream_retries,
             zone_cuts=self.zone_cuts,
-            backoff_rng=self._rng,
         )
         self._refresh_heap: List[Tuple[float, int, DnsName, str, int]] = []
         self._refresh_seq = 0

@@ -5,6 +5,7 @@ import io
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 from repro.report.paperkit import ARTIFACTS, export_all, render_all
 
@@ -212,6 +213,27 @@ class TestCliCampaign:
         )
         assert code == 2
         assert "campaign mismatch" in text
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_nonpositive_kill_at_event_rejected_before_worldgen(
+        self, tmp_path, count, monkeypatch, capsys
+    ):
+        def refuse(*args):
+            raise AssertionError("the world was generated")
+
+        monkeypatch.setattr(cli, "world_at_epoch", refuse)
+        journal = tmp_path / "run.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            self.run_cli(
+                self.SMALL + [
+                    "campaign", "--journal", str(journal),
+                    "--kill-at-event", count,
+                ]
+            )
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --kill-at-event: must be >= 1" in err
+        assert not journal.exists()
 
     def test_journal_and_resume_mutually_exclusive(self, tmp_path):
         code, text = self.run_cli(

@@ -18,6 +18,7 @@ import os
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 from repro.core import journal, longitudinal
 from repro.core.dataset import DatasetColumns, MeasurementDataset
@@ -573,6 +574,27 @@ class TestLongitudinalCli:
             main(["longitudinal", "--shards", shards], io.StringIO())
         assert exit_info.value.code == 2
         assert "argument --shards: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epochs", ["-1", "-4"])
+    def test_negative_epochs_rejected_before_worldgen(
+        self, epochs, monkeypatch, capsys
+    ):
+        # A negative count would make --compare-full verify nothing.
+        def refuse(*args):
+            raise AssertionError("the world was generated")
+
+        monkeypatch.setattr(cli, "world_at_epoch", refuse)
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["longitudinal", "--epochs", epochs, "--compare-full"],
+                io.StringIO(),
+            )
+        assert exit_info.value.code == 2
+        assert "argument --epochs: must be >= 0" in capsys.readouterr().err
+        # Zero epochs (the bootstrap alone) stays a valid run.
+        assert build_parser().parse_args(
+            ["longitudinal", "--epochs", "0"]
+        ).epochs == 0
 
     @pytest.mark.parametrize("command", ["campaign", "longitudinal"])
     def test_shards_auto_is_the_cpu_count(self, command):

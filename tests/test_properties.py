@@ -7,6 +7,9 @@ properties the analyses silently rely on.
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.dataset import (
+    PERSISTENCE_CODES,
+    UNCLASSIFIED,
+    DatasetColumns,
     MeasurementDataset,
     ParentStatus,
     ProbeResult,
@@ -16,8 +19,9 @@ from repro.core.dataset import (
 from repro.core.journal import dataset_digest, result_from_row, result_row
 from repro.core.replication import PdnsReplicationAnalysis
 from repro.core.seeds import Seed
+from repro.dns.message import Message, Question, Rcode
 from repro.dns.name import DnsName
-from repro.dns.rdata import NS, RRType
+from repro.dns.rdata import A, NS, RRType
 from repro.dns.rrset import RRset
 from repro.dns.zone import LookupStatus, Zone
 from repro.inet.address import IPv4Address, IPv4Prefix
@@ -259,6 +263,105 @@ class TestRRsetProperties:
         assert a == b and hash(a) == hash(b)
 
 
+# Messages over small pools, so equal and near-equal pairs are common.
+MSG_NAME = st.sampled_from(
+    [DnsName.parse(text) for text in ("gov.zz", "a.gov.zz", "ns.a.gov.zz")]
+)
+MSG_A = st.integers(min_value=1, max_value=3).map(
+    lambda value: A(IPv4Address(value))
+)
+
+
+@st.composite
+def msg_rrset(draw):
+    rdata = draw(st.sampled_from((MSG_NAME.map(NS), MSG_A)))
+    return RRset.of(
+        draw(MSG_NAME),
+        draw(st.lists(rdata, min_size=1, max_size=3)),
+        ttl=draw(st.sampled_from((300, 3600))),
+    )
+
+
+MSG_SECTION = st.lists(msg_rrset(), max_size=2).map(tuple)
+MESSAGE = st.builds(
+    Message,
+    question=st.builds(
+        Question, MSG_NAME, st.sampled_from((RRType.NS, RRType.A))
+    ),
+    is_response=st.booleans(),
+    rcode=st.sampled_from(sorted(Rcode.ALL)),
+    aa=st.booleans(),
+    answers=MSG_SECTION,
+    authority=MSG_SECTION,
+    additional=MSG_SECTION,
+)
+
+
+def rrset_key(rrset):
+    """Reference RRset equality: owner, type, TTL and the rdata *set*."""
+    return rrset.name, rrset.rrtype, rrset.ttl, frozenset(rrset.rdatas)
+
+
+def message_key(message):
+    """Reference Message equality: question, flags, rcode and the three
+    sections in order, each RRset compared by :func:`rrset_key`."""
+    return (
+        message.question.qname,
+        message.question.qtype,
+        message.is_response,
+        message.rcode,
+        message.aa,
+        tuple(rrset_key(r) for r in message.answers),
+        tuple(rrset_key(r) for r in message.authority),
+        tuple(rrset_key(r) for r in message.additional),
+    )
+
+
+def twin(message, rng):
+    """An equal message built anew: every RRset's rdatas shuffled, one
+    of them repeated."""
+
+    def section(rrsets):
+        out = []
+        for rrset in rrsets:
+            rdatas = list(rrset.rdatas)
+            rng.shuffle(rdatas)
+            rdatas.append(rng.choice(rdatas))
+            out.append(RRset.of(rrset.name, rdatas, ttl=rrset.ttl))
+        return tuple(out)
+
+    return Message(
+        question=Question(message.question.qname, message.question.qtype),
+        is_response=message.is_response,
+        rcode=message.rcode,
+        aa=message.aa,
+        answers=section(message.answers),
+        authority=section(message.authority),
+        additional=section(message.additional),
+    )
+
+
+class TestMessageProperties:
+    """``Message`` compares its packed bytes; these check that against
+    field-by-field reference semantics."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equality_hash_and_order_match_reference(self, data):
+        a = data.draw(MESSAGE)
+        b = data.draw(
+            st.one_of(MESSAGE, st.randoms().map(lambda rng: twin(a, rng)))
+        )
+        assert (a == b) == (message_key(a) == message_key(b))
+        if a == b:
+            assert hash(a) == hash(b)
+        assert [a < b, b < a, a == b].count(True) == 1
+
+    @given(MESSAGE)
+    def test_fingerprint_is_packed(self, message):
+        assert message.fingerprint == message.packed
+
+
 # Serving-path kernels against the expressions they replaced.
 IPV4 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 CIDR = st.builds(
@@ -328,40 +431,53 @@ OUTCOME = st.sampled_from(
         ServerOutcome.ANSWER,
         ServerOutcome.NODATA,
         ServerOutcome.REFUSED,
+        ServerOutcome.SERVFAIL,
         ServerOutcome.TIMEOUT,
-        ServerOutcome.BREAKER_OPEN,
     )
 )
-SERVER = st.builds(
-    ServerProbe,
-    hostname=NAME,
-    resolvable=st.booleans(),
-    addresses=st.lists(ADDRESS, max_size=3).map(tuple),
-    outcomes=st.dictionaries(ADDRESS, OUTCOME, max_size=3),
-    ns_by_address=st.dictionaries(
-        ADDRESS, st.lists(NAME, max_size=2).map(tuple), max_size=2
-    ),
-    prior_outcomes=st.dictionaries(ADDRESS, OUTCOME, max_size=2),
-)
-PROBE_RESULT = st.builds(
-    ProbeResult,
-    domain=NAME,
-    iso2=st.text(max_size=3),
-    parent_status=st.sampled_from(
-        (
-            ParentStatus.REFERRAL,
-            ParentStatus.ANSWER,
-            ParentStatus.EMPTY,
-            ParentStatus.NO_RESPONSE,
-        )
-    ),
-    parent_ns=st.lists(NAME, max_size=3).map(tuple),
-    child_ns=st.lists(NAME, max_size=3).map(tuple),
-    servers=st.lists(SERVER, max_size=3).map(
-        lambda servers: {server.hostname: server for server in servers}
-    ),
-    queries_sent=st.integers(min_value=0, max_value=10_000),
-    retried=st.booleans(),
+
+
+def probe_results(address):
+    """Generated probe results whose servers' addresses, outcome maps
+    and retry-round priors all draw from ``address``."""
+    server = st.builds(
+        ServerProbe,
+        hostname=NAME,
+        resolvable=st.booleans(),
+        addresses=st.lists(address, max_size=3).map(tuple),
+        outcomes=st.dictionaries(address, OUTCOME, max_size=3),
+        ns_by_address=st.dictionaries(
+            address, st.lists(NAME, max_size=2).map(tuple), max_size=2
+        ),
+        prior_outcomes=st.dictionaries(address, OUTCOME, max_size=2),
+    )
+    return st.builds(
+        ProbeResult,
+        domain=NAME,
+        iso2=st.text(max_size=3),
+        parent_status=st.sampled_from(
+            (
+                ParentStatus.REFERRAL,
+                ParentStatus.ANSWER,
+                ParentStatus.EMPTY,
+                ParentStatus.NO_RESPONSE,
+            )
+        ),
+        parent_ns=st.lists(NAME, max_size=3).map(tuple),
+        child_ns=st.lists(NAME, max_size=3).map(tuple),
+        servers=st.lists(server, max_size=3).map(
+            lambda servers: {server.hostname: server for server in servers}
+        ),
+        queries_sent=st.integers(min_value=0, max_value=10_000),
+        retried=st.booleans(),
+    )
+
+
+PROBE_RESULT = probe_results(ADDRESS)
+# A three-address pool, so priors land on swept addresses and a
+# server's outcomes often share one verdict class.
+POOLED_RESULT = probe_results(
+    st.integers(min_value=1, max_value=3).map(IPv4Address)
 )
 
 
@@ -398,3 +514,36 @@ class TestRowFidelity:
     def test_row_of_the_decoded_result_is_the_row(self, result):
         row = result_row(result)
         assert result_row(result_from_row(row)) == row
+
+
+class TestColumnsMatchResultProperties:
+    """The fused column pass against the per-result properties it
+    replaces, over generated results (every outcome kind, retried or
+    not, any parent status)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(POOLED_RESULT, max_size=6, unique_by=lambda r: r.domain))
+    def test_columns_match_result_properties(self, results):
+        by_domain = {result.domain: result for result in results}
+        columns = DatasetColumns.build(by_domain)
+        for i, result in enumerate(by_domain.values()):
+            assert (columns.responsive[i] == 1) == result.responsive
+            assert (
+                PERSISTENCE_CODES[columns.persistence[i]]
+                == result.failure_persistence
+            )
+            defective = tuple(
+                hostname
+                for hostname, server in result.servers.items()
+                if server.defective
+            )
+            assert columns.defective_ns[i] == defective
+            provisional = bool(defective) and all(
+                result.servers[hostname].defect_confidence == "provisional"
+                for hostname in defective
+            )
+            assert (columns.defect_provisional[i] == 1) == (
+                result.parent_nonempty and provisional
+            )
+            if not result.parent_nonempty:
+                assert columns.defect_verdict[i] == UNCLASSIFIED

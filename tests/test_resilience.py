@@ -1,12 +1,13 @@
-"""Adaptive resilience: backoff policy, circuit breaker, and the
-transient-vs-persistent failure classification they feed.
+"""Resilience: the serving layer's backoff policy and circuit breaker,
+the prober's one retransmit path, and the transient-vs-persistent
+failure classification.
 
 Unit tests pin the primitives' state machines; the integration tests
-run real campaigns over hand-built worlds to show (a) the breaker
-records skips as explicit ``BREAKER_OPEN`` outcomes, (b) the retry
-round clears transient SERVFAILs (the §III-B re-measurement fix), and
-(c) delegation analysis downgrades single-round soft failures to
-provisional confidence.
+run real campaigns over hand-built worlds to show (a) the prober
+retransmits to a dead server at once and records a timeout for every
+domain that lists it, (b) the retry round clears transient SERVFAILs
+(the §III-B re-measurement fix), and (c) delegation analysis
+downgrades single-round soft failures to provisional confidence.
 """
 
 from __future__ import annotations
@@ -35,14 +36,11 @@ from repro.dns import (
     Zone,
     make_response,
 )
+from repro.inet import BackoffPolicy
 from repro.net import IPv4Address, Network
 from repro.inet.clock import SimulatedClock
 from repro.net.network import FunctionHost
-from repro.net.resilience import (
-    BackoffPolicy,
-    BreakerState,
-    CircuitBreaker,
-)
+from repro.net.resilience import BreakerState, CircuitBreaker
 from repro.report.resilience import ResilienceReport
 
 IP = IPv4Address.parse
@@ -178,10 +176,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="0"):
             ProbeConfig(retry_interval_days=0)
 
-    def test_breaker_threshold_zero_rejected(self):
-        with pytest.raises(ValueError, match="0"):
-            ProbeConfig(breaker_threshold=0)
-
     def test_network_flaky_share_out_of_range(self):
         with pytest.raises(ValueError, match="1.5"):
             Network(flaky_share=1.5)
@@ -202,7 +196,7 @@ SRV_ADDRESS = IP("5.0.0.1")
 
 def _build_shared_ns_world(domain_count=4):
     """``d{i}.test.`` all delegate to one glued nameserver whose
-    address is dead — the breaker's natural prey."""
+    address is dead."""
     network = Network()
 
     root_zone = Zone(NAME("."))
@@ -292,84 +286,28 @@ def _probe(network, domains, **config_kwargs):
 
 
 class TestBreakerInCampaign:
-    def test_open_breaker_records_explicit_outcomes(self):
-        network, domains = _build_shared_ns_world(domain_count=4)
-        prober, dataset = _probe(
-            network,
-            domains,
-            retry_round=False,
-            breaker_threshold=2,
-            breaker_cooldown=1e6,  # never re-probes within this campaign
-        )
-        outcomes = [
-            dataset.results[d].servers[NAME("ns.shared.test.")].outcomes[
-                DEAD_ADDRESS
-            ]
-            for d in domains
-        ]
-        # The first series time out on their own; once two consecutive
-        # series have died the breaker opens and later probes are
-        # skipped as explicit BREAKER_OPEN outcomes, never lost.
-        assert ServerOutcome.TIMEOUT in outcomes
-        assert ServerOutcome.BREAKER_OPEN in outcomes
-        assert outcomes.count(ServerOutcome.TIMEOUT) == 2
-        assert prober.breaker is not None
-        assert prober.breaker.trips >= 1
-        assert prober.breaker.state_of(DEAD_ADDRESS) == BreakerState.OPEN
-        assert prober.resilience.breaker_skipped_probes >= 1
-
-    def test_breaker_open_counts_as_soft_failure(self):
-        network, domains = _build_shared_ns_world(domain_count=3)
-        _, dataset = _probe(
-            network,
-            domains,
-            retry_round=False,
-            breaker_threshold=1,
-            breaker_cooldown=1e6,
-        )
-        skipped = [
-            r
-            for r in dataset
-            if ServerOutcome.BREAKER_OPEN
-            in r.servers[NAME("ns.shared.test.")].outcomes.values()
-        ]
-        assert skipped
-        for result in skipped:
-            assert result.failure_persistence == "unconfirmed"
-            probe = result.servers[NAME("ns.shared.test.")]
-            assert probe.defect_confidence == "provisional"
+    """The prober has no circuit breaker: every domain's sweep queries
+    a dead shared nameserver itself and records the silence."""
 
     def test_breaker_off_by_default(self):
         network, domains = _build_shared_ns_world(domain_count=3)
         prober, dataset = _probe(network, domains, retry_round=False)
-        assert prober.breaker is None
         for d in domains:
             outcome = dataset.results[d].servers[
                 NAME("ns.shared.test.")
             ].outcomes[DEAD_ADDRESS]
             assert outcome == ServerOutcome.TIMEOUT
+        # One series per domain, each retransmitted once.
+        assert prober.retransmits == len(domains)
 
 
 class TestBackoffInCampaign:
-    def test_backoff_spaces_retransmits_and_is_counted(self):
-        network, domains = _build_shared_ns_world(domain_count=1)
-        prober, dataset = _probe(
-            network,
-            domains,
-            retry_round=False,
-            backoff=BackoffPolicy(base=4.0, multiplier=2.0, cap=30.0),
-            retries=2,
-        )
-        counters = prober.resilience
-        assert counters.retransmits == 2  # two extra sends to the dead NS
-        # First retransmit waits 4 s, second 8 s.
-        assert counters.backoff_wait_seconds == pytest.approx(12.0)
+    """The prober retransmits at the timeout instant: no backoff."""
 
     def test_default_backoff_adds_no_wait(self):
         network, domains = _build_shared_ns_world(domain_count=1)
-        prober, _ = _probe(network, domains, retry_round=False)
-        assert prober.resilience.retransmits > 0
-        assert prober.resilience.backoff_wait_seconds == 0.0
+        prober, _ = _probe(network, domains, retry_round=False, retries=2)
+        assert prober.retransmits == 2  # two extra sends to the dead NS
 
 
 class TestTransientVsPersistent:
@@ -463,7 +401,7 @@ class TestResilienceReport:
     # sha256 of the inline report at seed 7: the counters a campaign
     # reports must not move with the executor that ran it.
     INLINE_SHA256 = (
-        "563654fc597d62785f6dc45e91397f1dabc18812fd1de707f4a62dd8350691ad"
+        "06b40993464667e35432df29bb348454dbd204330e7343cd892c3f606715a612"
     )
 
     @staticmethod

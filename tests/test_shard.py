@@ -571,14 +571,12 @@ class TestCampaignCounters:
         parts = [
             CampaignCounters(
                 retransmits=3,
-                breaker_trips=1,
                 chaos={"outage_drops": 2, "burst_losses": 0},
                 journaled=True,
                 journal_replayed_sends=10,
             ),
             CampaignCounters(
                 retransmits=4,
-                breaker_open_at_end=2,
                 chaos={"outage_drops": 5, "burst_losses": 1},
                 journaled=True,
                 resumed=True,
@@ -588,8 +586,6 @@ class TestCampaignCounters:
         folded = CampaignCounters.fold_shards(parts)
         assert folded == CampaignCounters(
             retransmits=7,
-            breaker_trips=1,
-            breaker_open_at_end=2,
             chaos={"outage_drops": 7, "burst_losses": 1},
             journaled=True,
             resumed=True,
