@@ -23,6 +23,7 @@ world; everything else derives from them.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Callable, Optional, Sequence
@@ -75,6 +76,20 @@ def _at_least(minimum: int) -> Callable[[str], int]:
     return parse
 
 
+def _positive(value: str) -> float:
+    """argparse ``type=`` for a positive, finite number (a scale, a
+    duration, a rate), so a value no run can use fails before worldgen."""
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not 0 < number < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {value!r}"
+        )
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -86,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=7, help="world seed")
     parser.add_argument(
         "--scale",
-        type=float,
+        type=_positive,
         default=0.02,
         help="world size relative to the paper's 147k targets",
     )
@@ -249,14 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--duration",
-        type=float,
+        type=_positive,
         default=600.0,
         metavar="SECONDS",
         help="simulated workload duration (default: 600)",
     )
     serve.add_argument(
         "--qps",
-        type=float,
+        type=_positive,
         default=20.0,
         metavar="RATE",
         help="mean client query rate across all countries (default: 20)",
@@ -784,14 +799,14 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
         return 2
     try:
         scales = tuple(
-            float(scale)
+            _positive(scale)
             for scale in (args.scales or "").split(",")
             if scale.strip()
         )
-    except ValueError:
+    except argparse.ArgumentTypeError:
         print(
-            f"error: --scales must be comma-separated numbers, got "
-            f"{args.scales!r}",
+            "error: --scales must be comma-separated numbers, each positive "
+            f"and finite, got {args.scales!r}",
             file=out,
         )
         return 2

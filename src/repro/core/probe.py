@@ -801,19 +801,11 @@ class ActiveProber:
                 ),
             )
             self._network.journal = journal
-        # Invariant: the campaign allocates no reference cycles.
-        # Messages, rrsets, generator frames and query series
-        # (:class:`_Series`) all die by refcount, so a campaign run with
-        # the collector off leaves nothing for it to find
-        # (``tests/test_shard.py::TestHeapDiscipline`` pins this).  The
-        # cycle detector would contribute only pause time, so pause it
-        # for the loop, then pay one *young-generation* collection
-        # before re-enabling: that scans only objects allocated during
-        # the probe (the dataset under construction), not the whole
-        # heap with the world in it, and resets the generation
-        # counters so the deferred debt cannot cascade into a
-        # full-heap pass in whatever phase allocates next (the
-        # analyses, typically).
+        # The campaign allocates no reference cycles (messages, rrsets,
+        # frames and :class:`_Series` die by refcount), so the collector
+        # is paused for the loop, then one young-generation collection
+        # scans only what the probe allocated (DESIGN.md, "Heap
+        # discipline").
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()

@@ -47,13 +47,10 @@ is inherited copy-on-write — nothing about it is pickled or
 re-generated); under ``spawn`` each worker regenerates the world from
 ``world.config``, re-derives the identical target list and keeps the
 parent's subset of it.  :meth:`ProcessCampaignRunner.run` brackets the
-fan-out and the merge in :func:`gc.freeze` / :func:`gc.unfreeze`: the
-world is read-only while the workers run, so moving it to the
-collector's permanent generation keeps a full collection — in a
-worker, or in the parent while it receives rows — from walking
-hundreds of thousands of world objects, and keeps the collector from
-touching (and so copying) the pages a forked worker shares with the
-parent.  Journals are per-shard files under a manifest (see
+fan-out and the merge in :func:`gc.freeze` / :func:`gc.unfreeze`, so no
+full collection, in a worker or in the parent, walks the read-only world
+or copies the pages a forked worker shares with the parent (DESIGN.md,
+"Heap discipline").  Journals are per-shard files under a manifest (see
 :mod:`repro.core.journal`).
 
 :func:`run_campaign` is the one executor every pipeline calls: inline

@@ -18,21 +18,21 @@ of times (every referral walk re-derives ancestors, every cache lookup
 hashes, every serialization stringifies), so this module keeps three
 kernels:
 
-* **Label-tuple interning** — every validated label tuple is stored
-  once in a module-level table; two equal names always share the *same*
-  tuple object, so equality is a pointer comparison and the tuple's
-  hash is computed exactly once per distinct name ever seen.
-* **Cached derived forms** — the casefolded presentation string, the
-  hierarchical sort key, and the RFC 1035 wire encoding are computed
-  lazily and shared by *all* instances spelling the same name (they
-  hang off the interned tuple, not the instance).
+* **Hash-consing** — the constructor returns the one instance that
+  exists per distinct validated label tuple, held in a module-level
+  table.  Constructing a name that was seen before allocates nothing,
+  equality is identity, and the hash is computed once per distinct name
+  ever seen.
+* **Cached derived forms** — the presentation string, the hierarchical
+  sort key and the RFC 1035 wire encoding are slots of that one
+  instance, computed lazily on first use.
 * **Memoized validation** — per-label character checks run once per
   distinct label (:func:`functools.lru_cache`), not once per
   construction.
 
-Interning tables grow with the set of distinct names in a world, which
-is bounded by worldgen; they are process-wide and safe because names
-are immutable.
+The table grows with the set of distinct names in a world, which is
+bounded by worldgen; it is process-wide and safe because names are
+immutable.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from .errors import NameError_
 
-__all__ = ["DnsName", "ROOT"]
+__all__ = ["DnsName", "ROOT", "parse_cached"]
 
 _MAX_LABEL = 63
 _MAX_NAME = 253  # presentation form, excluding the trailing dot
@@ -62,28 +62,8 @@ def _validate_label(label: str) -> str:
     return lowered
 
 
-class _NameForms:
-    """The interned label tuple of one name, and the derived forms
-    shared by every instance of it.
-
-    The derived slots start as ``None`` and are filled on first use;
-    once set they never change (names are immutable), so no
-    invalidation exists.
-    """
-
-    __slots__ = ("labels", "hash", "sort_key", "text", "wire")
-
-    def __init__(self, labels: Tuple[str, ...]) -> None:
-        self.labels = labels
-        # Cached for DnsName.__hash__ only; never ordered or serialized.
-        self.hash = hash(labels)  # reprolint: disable=DET005
-        self.sort_key: Optional[Tuple[str, ...]] = None
-        self.text: Optional[str] = None
-        self.wire: Optional[bytes] = None
-
-
-# validated label tuple -> its shared forms (holding the one interned tuple).
-_INTERN: Dict[Tuple[str, ...], _NameForms] = {}
+# validated label tuple -> the one DnsName spelling it.
+_INTERN: Dict[Tuple[str, ...], "DnsName"] = {}
 
 
 class DnsName:
@@ -91,45 +71,48 @@ class DnsName:
 
     Instances are immutable, hashable, and totally ordered by their
     reversed label tuple, which sorts a namespace hierarchically
-    (``gov.au`` < ``health.gov.au`` < ``gov.br``).
+    (``gov.au`` < ``health.gov.au`` < ``gov.br``).  One instance exists
+    per distinct name, so equality is the inherited identity test.
     """
 
-    __slots__ = ("_labels", "_forms")
+    # The sort key, text and wire slots are filled once, on first use.
+    __slots__ = ("_labels", "_hash", "_sort_key", "_text", "_wire")
 
-    def __init__(self, labels: Iterable[str]) -> None:
-        # Fast path: a label tuple that is already interned was fully
-        # validated when first seen (only validated tuples enter the
-        # table), so the per-label checks can be skipped outright.
-        # Unnormalized spellings (e.g. uppercase) miss and fall through.
+    def __new__(cls, labels: Iterable[str]) -> "DnsName":
+        # Fast path: only validated tuples enter the table, so a hit
+        # skips the per-label checks; other spellings fall through.
         if type(labels) is tuple:
-            forms = _INTERN.get(labels)
-            if forms is not None:
-                object.__setattr__(self, "_labels", forms.labels)
-                object.__setattr__(self, "_forms", forms)
-                return
+            name = _INTERN.get(labels)
+            if name is not None:
+                return name
         validated = tuple(map(_validate_label, labels))
-        forms = _INTERN.get(validated)
-        if forms is None:
-            # First sighting of this spelling: run the whole-name length
-            # check once, then intern.  Every later construction of an
-            # equal name reuses the tuple (pointer-equal) and its hash.
+        name = _INTERN.get(validated)
+        if name is None:
+            # First sighting: check the whole-name length once.
             presentation_length = sum(map(len, validated)) + len(validated) - 1
             if validated and presentation_length > _MAX_NAME:
                 raise NameError_(
                     f"name too long ({presentation_length} > {_MAX_NAME})"
                 )
-            forms = _NameForms(validated)
-            _INTERN[validated] = forms
-        object.__setattr__(self, "_labels", forms.labels)
-        object.__setattr__(self, "_forms", forms)
+            name = object.__new__(cls)
+            init = object.__setattr__
+            init(name, "_labels", validated)
+            # Cached for __hash__ only; never ordered or serialized.
+            init(name, "_hash", hash(validated))  # reprolint: disable=DET005
+            init(name, "_sort_key", None)
+            init(name, "_text", None)
+            init(name, "_wire", None)
+            _INTERN[validated] = name
+        return name
 
     def __setattr__(self, key: str, value: object) -> None:
         raise AttributeError("DnsName is immutable")
 
     def __reduce__(self) -> Tuple[type, Tuple[Tuple[str, ...], ...]]:
-        # Pickle/copy support: rebuilding through __init__ re-interns in
-        # the receiving process, so cross-process names (the sharded
-        # campaign runner's merge path) regain pointer-cheap equality.
+        # Pickle/copy support: rebuilding through the constructor
+        # returns the receiving process's interned instance, so a name
+        # shipped to or from a shard worker is the one object for that
+        # name there too.
         return (DnsName, (self._labels,))
 
     # ------------------------------------------------------------------
@@ -172,8 +155,7 @@ class DnsName:
     def wire(self) -> bytes:
         """The RFC 1035 wire encoding: length-prefixed labels plus the
         terminating root byte.  Computed once per distinct name."""
-        forms = self._forms
-        encoded = forms.wire
+        encoded = self._wire
         if encoded is None:
             encoded = (
                 b"".join(
@@ -182,7 +164,7 @@ class DnsName:
                 )
                 + b"\x00"
             )
-            forms.wire = encoded
+            object.__setattr__(self, "_wire", encoded)
         return encoded
 
     # ------------------------------------------------------------------
@@ -207,15 +189,15 @@ class DnsName:
 
     def is_subdomain_of(self, other: "DnsName") -> bool:
         """True when ``self`` is ``other`` or lies beneath it."""
+        if self is other:
+            return True
         mine = self._labels
         theirs = other._labels
-        if mine is theirs:  # interning: equal names share the tuple
-            return True
         offset = len(mine) - len(theirs)
         return offset > 0 and mine[offset:] == theirs
 
     def is_proper_subdomain_of(self, other: "DnsName") -> bool:
-        return self._labels is not other._labels and self.is_subdomain_of(other)
+        return self is not other and self.is_subdomain_of(other)
 
     def child_label_under(self, ancestor: "DnsName") -> str:
         """The label immediately below ``ancestor`` on the path to self.
@@ -271,37 +253,30 @@ class DnsName:
     # ------------------------------------------------------------------
     # Dunder plumbing
     # ------------------------------------------------------------------
-    def __eq__(self, other: object) -> bool:
-        # Interning makes label tuples canonical: equal names always
-        # share the tuple object, so equality is a pointer check.
-        return isinstance(other, DnsName) and self._labels is other._labels
-
-    def _sort_key(self) -> Tuple[str, ...]:
-        forms = self._forms
-        key = forms.sort_key
+    def _sort_key_of(self) -> Tuple[str, ...]:
+        key = self._sort_key
         if key is None:
             key = tuple(reversed(self._labels))
-            forms.sort_key = key
+            object.__setattr__(self, "_sort_key", key)
         return key
 
     def __lt__(self, other: "DnsName") -> bool:
-        return self._sort_key() < other._sort_key()
+        return self._sort_key_of() < other._sort_key_of()
 
     def __le__(self, other: "DnsName") -> bool:
-        return self._labels is other._labels or self < other
+        return self is other or self < other
 
     def __hash__(self) -> int:
-        return self._forms.hash
+        return self._hash
 
     def __len__(self) -> int:
         return len(self._labels)
 
     def __str__(self) -> str:
-        forms = self._forms
-        text = forms.text
+        text = self._text
         if text is None:
             text = ".".join(self._labels) + "." if self._labels else "."
-            forms.text = text
+            object.__setattr__(self, "_text", text)
         return text
 
     def __repr__(self) -> str:
@@ -315,6 +290,3 @@ ROOT = DnsName(())
 def parse_cached(text: str) -> DnsName:
     """Memoized :meth:`DnsName.parse` for hot loops over repeated names."""
     return DnsName.parse(text)
-
-
-__all__.append("parse_cached")

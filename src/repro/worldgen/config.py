@@ -127,6 +127,10 @@ class WorldConfig:
     probe_source: str = "192.0.2.53"
     root_addresses: Tuple[str, ...] = ("198.41.0.4", "199.9.14.201", "192.33.4.12")
 
+    def __post_init__(self) -> None:
+        if not 0 < self.scale < float("inf"):
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+
     def scaled(self, value: float) -> int:
         """Apply the scale factor, keeping at least 1 where nonzero."""
         if value <= 0:

@@ -22,6 +22,7 @@ Everything is deterministic in ``config.seed`` and ``config.scale``.
 
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -182,6 +183,23 @@ class WorldGenerator:
     # Public entry point
     # ==================================================================
     def generate(self) -> World:
+        """Build the world with the cycle collector paused (worldgen makes
+        no cyclic garbage), then move it to the oldest generation without
+        a pass over it, unless that would thaw a caller's open freeze
+        (DESIGN.md, "Heap discipline")."""
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            world = self._build()
+            if gc.get_freeze_count() == 0:
+                gc.freeze()
+                gc.unfreeze()
+            return world
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+    def _build(self) -> World:
         config = self.config
         clock = SimulatedClock(PROBE_EPOCH)
         network = Network(

@@ -8,6 +8,7 @@ import pytest
 from repro import cli
 from repro.cli import build_parser, main
 from repro.report.paperkit import ARTIFACTS, export_all, render_all
+from repro.worldgen.generator import WorldGenerator
 
 
 class TestPaperkit:
@@ -69,6 +70,34 @@ class TestCliParser:
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--scale", "0", "headline"], "--scale"),
+            (["--scale", "-1", "headline"], "--scale"),
+            (["--scale", "nan", "headline"], "--scale"),
+            (["--scale", "inf", "campaign"], "--scale"),
+            (["serve", "--duration", "0"], "--duration"),
+            (["serve", "--duration", "abc"], "--duration"),
+            (["serve", "--qps", "-1"], "--qps"),
+            (["serve", "--qps", "inf"], "--qps"),
+        ],
+    )
+    def test_unusable_numbers_rejected_before_worldgen(
+        self, argv, flag, monkeypatch, capsys
+    ):
+        # A scale of 0 or below would otherwise run on a world with one
+        # of everything, since WorldConfig.scaled keeps populations >= 1.
+        def refuse(self):
+            raise AssertionError("the world was generated")
+
+        monkeypatch.setattr(WorldGenerator, "generate", refuse)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv, io.StringIO())
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a positive finite number" in err
 
 
 class TestCliExecution:

@@ -2,8 +2,8 @@
 
 Campaign profiles put ``DnsName.__hash__``/``__eq__`` and query
 construction at the top of the cProfile table (EXPERIMENTS.md), so both
-got constant-factor kernels: every distinct name shares one interned
-label tuple (making equality and hashing pointer-cheap) and every
+got constant-factor kernels: every distinct name is one interned
+object (making equality an identity test and hashing cached) and every
 (qname, qtype) query is built once.  These tests pin the *semantics*
 those kernels must preserve — observable behaviour identical to the
 naive implementations — plus the identity guarantees the fast paths

@@ -4,6 +4,10 @@ These complement the per-module suites with randomized checks of the
 properties the analyses silently rely on.
 """
 
+import copy
+import pickle
+
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.dataset import (
@@ -19,6 +23,7 @@ from repro.core.dataset import (
 from repro.core.journal import dataset_digest, result_from_row, result_row
 from repro.core.replication import PdnsReplicationAnalysis
 from repro.core.seeds import Seed
+from repro.dns.errors import NameError_
 from repro.dns.message import Message, Question, Rcode
 from repro.dns.name import DnsName
 from repro.dns.rdata import A, NS, RRType
@@ -42,6 +47,13 @@ LABEL = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=8
 )
 NAME = st.lists(LABEL, min_size=1, max_size=4).map(DnsName)
+
+MIXED_LABEL = st.text(
+    alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_",
+    min_size=1,
+    max_size=8,
+)
+MIXED_LABELS = st.lists(MIXED_LABEL, max_size=4).map(tuple)
 
 YEAR_START, YEAR_END = year_bounds(2020)
 INTERVAL = st.tuples(
@@ -547,3 +559,77 @@ class TestColumnsMatchResultProperties:
             )
             if not result.parent_nonempty:
                 assert columns.defect_verdict[i] == UNCLASSIFIED
+
+
+def lowered(labels):
+    return tuple(label.lower() for label in labels)
+
+
+class TestDnsNameProperties:
+    """The hash-consed name kernel against plain label-tuple semantics,
+    over label tuples of mixed case."""
+
+    @given(MIXED_LABELS, MIXED_LABELS, st.booleans())
+    def test_one_instance_per_lowered_label_tuple(self, a, b, respell):
+        if respell:
+            b = tuple(label.swapcase() for label in a)
+        same = lowered(a) == lowered(b)
+        assert (DnsName(a) is DnsName(b)) == same
+        assert (DnsName(a) == DnsName(b)) == same
+        assert (DnsName(a) != DnsName(b)) != same
+        assert DnsName(list(a)) is DnsName(a)
+
+    @given(MIXED_LABELS)
+    def test_hash_is_the_label_tuple_hash(self, labels):
+        name = DnsName(labels)
+        assert name.labels == lowered(labels)
+        assert hash(name) == hash(name.labels)
+
+    @given(MIXED_LABELS, MIXED_LABELS)
+    def test_order_is_reversed_label_order(self, a, b):
+        first, second = DnsName(a), DnsName(b)
+        reference = tuple(reversed(lowered(a))), tuple(reversed(lowered(b)))
+        assert (first < second) == (reference[0] < reference[1])
+        assert (first <= second) == (reference[0] <= reference[1])
+        assert sorted([first, second]) == sorted(
+            [first, second], key=lambda n: tuple(reversed(n.labels))
+        )
+
+    @given(MIXED_LABELS)
+    def test_round_trips_return_the_interned_instance(self, labels):
+        name = DnsName(labels)
+        assert DnsName.parse(str(name)) is name
+        assert DnsName.parse(str(name).upper()) is name
+        assert pickle.loads(pickle.dumps(name)) is name
+        assert copy.deepcopy(name) is name
+        assert copy.copy(name) is name
+
+    @given(MIXED_LABELS, MIXED_LABELS, MIXED_LABEL)
+    def test_derived_names_are_interned(self, a, b, label):
+        name, other = DnsName(a), DnsName(b)
+        labels = name.labels
+        if labels:
+            assert name.parent() is DnsName(labels[1:])
+        assert name.prepend(label) is DnsName((label,) + a)
+        assert name.concat(other) is DnsName(a + b)
+        assert list(name.ancestors(include_self=True)) == [
+            DnsName(labels[i:]) for i in range(len(labels) + 1)
+        ]
+        for ancestor, i in zip(name.ancestors(), range(1, len(labels) + 1)):
+            assert ancestor is DnsName(labels[i:])
+        for level in range(len(labels) + 1):
+            assert name.slice_to_level(level) is DnsName(
+                labels[len(labels) - level:]
+            )
+
+    @given(
+        MIXED_LABELS,
+        st.sampled_from(["", "a" * 64, "a.b", "a b", "caf\u00e9", "x!"]),
+        st.integers(min_value=0, max_value=4),
+    )
+    def test_an_invalid_label_still_raises(self, labels, bad, position):
+        spelled = labels[:position] + (bad,) + labels[position:]
+        with pytest.raises(NameError_):
+            DnsName(spelled)
+        with pytest.raises(NameError_):
+            DnsName(list(spelled))

@@ -724,6 +724,7 @@ class TestCliShardedCampaign:
         [
             ("--labels", "serial,bogus", "unknown bench label(s) bogus"),
             ("--scales", "x", "--scales must be comma-separated numbers"),
+            ("--scales", "0.002,0", "--scales must be comma-separated numbers"),
         ],
     )
     def test_bench_rejects_bad_arguments_before_running(

@@ -231,6 +231,16 @@ class TestProviderInstance:
         ) == N("example.com")
 
 
+class TestWorldConfig:
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+    def test_unusable_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            WorldConfig(scale=scale)
+
+    def test_small_positive_scale_accepted(self):
+        assert WorldConfig(scale=0.001).scale == 0.001
+
+
 class TestFaultSampler:
     def make(self, seed=0):
         profiles = {p.iso2: p for p in build_profiles()}

@@ -5,11 +5,14 @@ the actual zones/servers/network — the property the whole reproduction
 rests on.
 """
 
+import gc
+
 import pytest
 
 from repro.dns import DnsName, Resolver, ResolverCache, RRType
+from repro.worldgen import WorldConfig
 from repro.worldgen.faults import DefectMode
-from repro.worldgen.generator import TargetStatus
+from repro.worldgen.generator import TargetStatus, WorldGenerator
 
 N = DnsName.parse
 
@@ -234,3 +237,79 @@ class TestDeterminism:
         a = WorldGenerator(WorldConfig(seed=3, scale=0.002)).generate()
         b = WorldGenerator(WorldConfig(seed=4, scale=0.002)).generate()
         assert set(a.truths) != set(b.truths)
+
+
+class TestHeapDiscipline:
+    """``generate()`` pauses the cycle collector while it builds, then
+    moves the world to the oldest generation without a pass over it
+    (DESIGN.md, "Heap discipline")."""
+
+    def generate(self):
+        return WorldGenerator(WorldConfig(seed=7, scale=0.004)).generate()
+
+    def test_generation_leaves_no_cyclic_garbage(self):
+        # The invariant that makes the pause safe: with the collector
+        # off, nothing worldgen drops is left for it to find.
+        gc.collect()
+        gc.disable()
+        try:
+            world = self.generate()
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert world.truths
+        assert unreachable == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored(self, enabled):
+        if not enabled:
+            gc.disable()
+        try:
+            self.generate()
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored_when_generation_raises(
+        self, enabled, monkeypatch
+    ):
+        def fail(self):
+            raise RuntimeError("worldgen failed")
+
+        monkeypatch.setattr(WorldGenerator, "_build_history", fail)
+        if not enabled:
+            gc.disable()
+        try:
+            with pytest.raises(RuntimeError, match="worldgen failed"):
+                self.generate()
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    def test_no_freeze_left_open(self):
+        assert gc.get_freeze_count() == 0
+        self.generate()
+        assert gc.get_freeze_count() == 0
+
+    def test_an_open_freeze_is_not_thawed(self):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            self.generate()
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+
+    def test_world_promoted_to_the_oldest_generation(self):
+        # With the collector off nothing moves the world but generate()
+        # itself: left young, it would be ~10^5 generation-0 objects.
+        gc.disable()
+        try:
+            world = self.generate()
+            young = gc.get_count()[0]
+            oldest = gc.get_objects(generation=2)
+        finally:
+            gc.enable()
+        assert young < 100
+        assert any(obj is world.truths for obj in oldest)
