@@ -23,12 +23,13 @@ world; everything else derives from them.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
+from .cliargs import at_least, positive, shard_count
 from .core.study import GovernmentDnsStudy
+from .inet.heap import collect_dropped, paused
 from .lint import cli as lint_cli
 from .net.chaos import PROFILES as _ORACLE_CHAOS_PROFILES
 from .servelint import cli as servelint_cli
@@ -38,56 +39,6 @@ from .report.tables import format_count, format_percent, render_table
 from .worldgen.churn import world_at_epoch
 
 __all__ = ["main", "build_parser"]
-
-
-def _parse_shards(value: str) -> int:
-    """argparse ``type=`` for every ``--shards`` option: a positive
-    worker count, or ``auto`` for the CPU count."""
-    if value == "auto":
-        return os.cpu_count() or 1
-    try:
-        shards = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer or 'auto', got {value!r}"
-        ) from None
-    if shards < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {shards}")
-    return shards
-
-
-def _at_least(minimum: int) -> Callable[[str], int]:
-    """argparse ``type=`` for an integer count of at least ``minimum``,
-    so a count that would make a gate vacuous is a usage error."""
-
-    def parse(value: str) -> int:
-        try:
-            count = int(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"must be an integer, got {value!r}"
-            ) from None
-        if count < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be >= {minimum}, got {count}"
-            )
-        return count
-
-    return parse
-
-
-def _positive(value: str) -> float:
-    """argparse ``type=`` for a positive, finite number (a scale, a
-    duration, a rate), so a value no run can use fails before worldgen."""
-    try:
-        number = float(value)
-    except ValueError:
-        number = math.nan
-    if not 0 < number < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive finite number, got {value!r}"
-        )
-    return number
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=7, help="world seed")
     parser.add_argument(
         "--scale",
-        type=_positive,
+        type=positive,
         default=0.02,
         help="world size relative to the paper's 147k targets",
     )
@@ -223,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--kill-at-event",
-        type=_at_least(1),
+        type=at_least(1),
         default=None,
         metavar="N",
         help="abort after N scheduler events (kill-at-event harness)",
@@ -236,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--shards",
-        type=_parse_shards,
+        type=shard_count,
         default=None,
         metavar="N|auto",
         help=(
@@ -264,14 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--duration",
-        type=_positive,
+        type=positive,
         default=600.0,
         metavar="SECONDS",
         help="simulated workload duration (default: 600)",
     )
     serve.add_argument(
         "--qps",
-        type=_positive,
+        type=positive,
         default=20.0,
         metavar="RATE",
         help="mean client query rate across all countries (default: 20)",
@@ -351,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     longitudinal.add_argument(
         "--epochs",
-        type=_at_least(0),
+        type=at_least(0),
         default=3,
         metavar="N",
         help="churn epochs to run after the bootstrap (default: 3)",
@@ -368,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     longitudinal.add_argument(
         "--shards",
-        type=_parse_shards,
+        type=shard_count,
         default=None,
         metavar="N|auto",
         help=(
@@ -599,6 +550,7 @@ def _cmd_oracle(args: argparse.Namespace, out) -> int:
             args.seed, args.scale, mode, chaos_profile=args.chaos
         )
         reports.append(report)
+        collect_dropped()
         print(render_oracle_report(report), file=out)
     print(render_oracle_summary(reports), file=out)
     if args.json_out is not None:
@@ -641,19 +593,15 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         serve_stale=not args.no_serve_stale,
         prefetch=not args.no_prefetch,
     )
-    try:
-        run = run_serve(
-            world,
-            args.seed,
-            args.chaos,
-            args.duration,
-            args.qps,
-            config=config,
-            warm=not args.no_warm,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=out)
-        return 2
+    run = run_serve(
+        world,
+        args.seed,
+        args.chaos,
+        args.duration,
+        args.qps,
+        config=config,
+        warm=not args.no_warm,
+    )
     digest = workload_digest(run.queries)
 
     report = ServingReport.collect(
@@ -799,7 +747,7 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
         return 2
     try:
         scales = tuple(
-            _positive(scale)
+            positive(scale)
             for scale in (args.scales or "").split(",")
             if scale.strip()
         )
@@ -910,7 +858,8 @@ def _cmd_longitudinal(args: argparse.Namespace, out) -> int:
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.run(args, out if out is not None else sys.stdout)
+    with paused():
+        return args.run(args, out if out is not None else sys.stdout)
 
 
 if __name__ == "__main__":  # pragma: no cover

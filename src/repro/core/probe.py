@@ -49,7 +49,6 @@ discrete-event scheduler (:mod:`repro.net.events`):
 
 from __future__ import annotations
 
-import gc
 from collections import deque
 from typing import (
     Any,
@@ -70,6 +69,7 @@ from ..dns.name import DnsName
 from ..dns.rdata import RRType, A
 from ..dns.resolver import Resolver
 from ..inet.address import IPv4Address
+from ..inet.heap import paused
 from ..net.events import PendingExchange
 from ..net.network import Network
 from .dataset import (
@@ -774,10 +774,10 @@ class ActiveProber:
         result.queries_sent = probed[0][1]
         return result
 
-    def probe_all(
-        self,
-        targets: Dict[DnsName, str],
-    ) -> MeasurementDataset:
+    # No reference cycles here (messages, rrsets, frames and :class:`_Series`
+    # die by refcount), so the collector stays paused (DESIGN.md §11.1).
+    @paused()
+    def probe_all(self, targets: Dict[DnsName, str]) -> MeasurementDataset:
         """Run the campaign over {domain → ISO2}.
 
         The retry round (paper §III-B) re-runs the sweep for domains
@@ -801,14 +801,6 @@ class ActiveProber:
                 ),
             )
             self._network.journal = journal
-        # The campaign allocates no reference cycles (messages, rrsets,
-        # frames and :class:`_Series` die by refcount), so the collector
-        # is paused for the loop, then one young-generation collection
-        # scans only what the probe allocated (DESIGN.md, "Heap
-        # discipline").
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
         try:
             dataset = self._probe_all_inner(targets, journal)
         except BaseException:
@@ -823,9 +815,6 @@ class ActiveProber:
                 journal.finish(self._network)
             return dataset
         finally:
-            if gc_was_enabled:
-                gc.collect(1)
-                gc.enable()
             self._network.journal = None
 
     def _probe_all_inner(

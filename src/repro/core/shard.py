@@ -46,12 +46,11 @@ Workers prefer the ``fork`` start method (the parent's generated world
 is inherited copy-on-write — nothing about it is pickled or
 re-generated); under ``spawn`` each worker regenerates the world from
 ``world.config``, re-derives the identical target list and keeps the
-parent's subset of it.  :meth:`ProcessCampaignRunner.run` brackets the
-fan-out and the merge in :func:`gc.freeze` / :func:`gc.unfreeze`, so no
-full collection, in a worker or in the parent, walks the read-only world
-or copies the pages a forked worker shares with the parent (DESIGN.md,
-"Heap discipline").  Journals are per-shard files under a manifest (see
-:mod:`repro.core.journal`).
+parent's subset of it.  :meth:`ProcessCampaignRunner.run` pauses the
+cycle collector before the fork, so no collection, in a worker or in
+the parent, walks the read-only world or copies its shared pages
+(DESIGN.md, "Heap discipline").  Journals are per-shard files under a
+manifest (see :mod:`repro.core.journal`).
 
 :func:`run_campaign` is the one executor every pipeline calls: inline
 when ``shards`` is None, this runner otherwise.  Its inline branch is
@@ -61,7 +60,6 @@ also the body each worker runs, and both report
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import multiprocessing
 import os
@@ -74,6 +72,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..dns.errors import NameError_
 from ..dns.name import DnsName
+from ..inet.heap import paused
 from ..net.events import CampaignAborted
 from .dataset import MeasurementDataset
 from .journal import (
@@ -586,17 +585,10 @@ class ProcessCampaignRunner:
             datasets, labels=labels, epoch=self._epoch
         )
 
+    @paused()
     def run(self) -> MeasurementDataset:
-        """Collect and merge inside a frozen heap (see the module
-        docstring).  A caller that already froze keeps its bracket:
-        the heap is unfrozen only if this call froze it."""
-        outermost = gc.get_freeze_count() == 0
-        gc.freeze()
-        try:
-            return self.merge(self.collect())
-        finally:
-            if outermost:
-                gc.unfreeze()
+        """Collect and merge, the collector paused before the fork."""
+        return self.merge(self.collect())
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,10 @@ net < dns < worldgen < zonelint < core``): it holds the value types and
 protocols that both :mod:`repro.net` (the simulated internetwork) and
 :mod:`repro.dns` (the DNS data model) need — IPv4 addresses, the
 simulated clock, the query-transport protocol and its timeout
-exception, and the retransmission backoff policy.  Keeping them here is
-what lets ``repro.dns`` stay independent of the transport substrate
-(ARCH001): the data model names addresses and reads simulated time
-without importing the delivery fabric that uses them.
+exception, the retransmission backoff policy and the heap policy.
+Keeping them here is what lets ``repro.dns`` stay independent of the
+transport substrate (ARCH001): the data model names addresses and reads
+simulated time without importing the delivery fabric that uses them.
 
 Everything in this package is stdlib-only and importable on its own,
 exactly like :mod:`repro.lint`.

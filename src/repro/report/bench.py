@@ -34,6 +34,7 @@ from ..core.journal import dataset_digest
 from ..core.probe import ProbeConfig
 from ..core.shard import government_suffixes, run_campaign
 from ..core.study import GovernmentDnsStudy
+from ..inet.heap import collect_dropped
 from ..worldgen.churn import world_at_epoch
 from .export import to_json, write_json
 
@@ -316,6 +317,7 @@ def run_probe_bench(
         else:
             record = run_probe_record(label, seed, scale)
         report.add(record, baseline=(label == "serial"))
+        collect_dropped()
     return report
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Tuple
 
+from ..inet.heap import paused
 from .export import write_csv
 from .figures import Distribution, Series, cdf_points, render_bars, render_series
 from .tables import format_percent, render_table
@@ -315,6 +316,7 @@ _BUILDERS = {
 }
 
 
+@paused()
 def render_all(study) -> Dict[str, str]:
     """artifact id → rendered text, for every §IV table and figure."""
     return {
@@ -322,6 +324,7 @@ def render_all(study) -> Dict[str, str]:
     }
 
 
+@paused()
 def export_all(study, outdir: str) -> Dict[str, Tuple[str, str]]:
     """Write ``<id>.txt`` and ``<id>.csv`` per artifact into ``outdir``.
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 
+from ..cliargs import positive
 from ..lint.output import FORMATS, render_report
 from ..net.chaos import PROFILES
 from ..worldgen.churn import world_at_epoch
@@ -34,13 +35,13 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--duration",
-        type=float,
+        type=positive,
         default=600.0,
         help="serve horizon in seconds the model predicts over",
     )
     parser.add_argument(
         "--qps",
-        type=float,
+        type=positive,
         default=20.0,
         help="mean workload arrival rate for --verify runs",
     )
@@ -92,9 +93,7 @@ def run(args: argparse.Namespace, out) -> int:
         return 2
 
     world = world_at_epoch(args.seed, args.scale)
-    targets = {
-        name: truth.iso2 for name, truth in world.truths.items()
-    }
+    targets = {name: truth.iso2 for name, truth in world.truths.items()}
     truths = ZoneLinter.for_world(world).analyze_all(targets)
     model = SurvivabilityModel.for_world(
         world, seed=args.seed, duration=args.duration

@@ -22,7 +22,6 @@ Everything is deterministic in ``config.seed`` and ``config.scale``.
 
 from __future__ import annotations
 
-import gc
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -36,6 +35,7 @@ from ..geo.asn import AsnRegistry
 from ..geo.geoip import GeoIPDatabase
 from ..inet.address import BlockAllocator, IPv4Address, IPv4Prefix
 from ..inet.clock import SimulatedClock, date_to_epoch
+from ..inet.heap import paused
 from ..net.latency import FixedLatency
 from ..net.network import Network
 from ..pdns.database import PdnsDatabase
@@ -182,24 +182,9 @@ class WorldGenerator:
     # ==================================================================
     # Public entry point
     # ==================================================================
+    @paused()
     def generate(self) -> World:
-        """Build the world with the cycle collector paused (worldgen makes
-        no cyclic garbage), then move it to the oldest generation without
-        a pass over it, unless that would thaw a caller's open freeze
-        (DESIGN.md, "Heap discipline")."""
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            world = self._build()
-            if gc.get_freeze_count() == 0:
-                gc.freeze()
-                gc.unfreeze()
-            return world
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-    def _build(self) -> World:
+        """Build the world, the collector paused (:mod:`repro.inet.heap`)."""
         config = self.config
         clock = SimulatedClock(PROBE_EPOCH)
         network = Network(

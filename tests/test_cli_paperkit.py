@@ -82,6 +82,11 @@ class TestCliParser:
             (["serve", "--duration", "abc"], "--duration"),
             (["serve", "--qps", "-1"], "--qps"),
             (["serve", "--qps", "inf"], "--qps"),
+            *(
+                (["servelint", "--verify", flag, value], flag)
+                for flag in ("--duration", "--qps")
+                for value in ("0", "-1", "nan", "inf")
+            ),
         ],
     )
     def test_unusable_numbers_rejected_before_worldgen(

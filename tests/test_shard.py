@@ -410,6 +410,11 @@ class TestPayloadCheck:
 # Heap discipline: no cyclic garbage, and no heap left frozen
 # ----------------------------------------------------------------------
 class TestHeapDiscipline:
+    """The campaign runs under the run's heap policy (DESIGN.md, "Heap
+    discipline"; the policy's own contract is ``tests/test_heap.py``):
+    a sharded run pauses the collector before the fork and restores the
+    state it found after a kill or a worker error."""
+
     SEED = 7
     SCALE = 0.004
 
@@ -440,18 +445,36 @@ class TestHeapDiscipline:
         assert len(dataset) == len(targets)
         assert unreachable == 0
 
-    def test_merge_runs_in_a_frozen_heap(self, monkeypatch):
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the check is patched into a forked child",
+    )
+    def test_workers_and_merge_run_with_the_collector_paused(
+        self, monkeypatch
+    ):
+        # The collector is paused before the fork, so a forked worker
+        # inherits it paused: no collection there copies the pages it
+        # shares with the parent.
+        run_inline = shard_module._run_inline
+
+        def checked(*args, **kwargs):
+            if gc.isenabled():
+                raise RuntimeError("worker forked with the collector on")
+            return run_inline(*args, **kwargs)
+
+        monkeypatch.setattr(shard_module, "_run_inline", checked)
         runner = self.build()
         merge = runner.merge
-        frozen = []
+        enabled = []
 
         def spy(collected):
-            frozen.append(gc.get_freeze_count())
+            enabled.append(gc.isenabled())
             return merge(collected)
 
         monkeypatch.setattr(runner, "merge", spy)
         runner.run()
-        assert frozen and frozen[0] > 0
+        assert enabled == [False]
+        assert gc.isenabled()
         assert gc.get_freeze_count() == 0
 
     def test_run_unfreezes_after_a_kill(self, tmp_path):
@@ -460,6 +483,7 @@ class TestHeapDiscipline:
         )
         with pytest.raises(CampaignAborted):
             runner.run()
+        assert gc.isenabled()
         assert gc.get_freeze_count() == 0
 
     @pytest.mark.skipif(
@@ -473,6 +497,7 @@ class TestHeapDiscipline:
         monkeypatch.setattr(shard_module, "_run_inline", fail)
         with pytest.raises(RuntimeError, match="worker\\(s\\) failed"):
             self.build().run()
+        assert gc.isenabled()
         assert gc.get_freeze_count() == 0
 
     def test_run_keeps_a_callers_freeze(self):
